@@ -52,9 +52,11 @@ def default_dtype(dtype):
 class Tensor:
     """Dense array with an optional same-shape gradient accumulator.
 
-    Float arrays keep their dtype; everything else is materialized at
-    the default scalar width, so the precision of a model is fixed by
-    the width active when its leaves were created.
+    Float arrays keep their dtype, so an op's result has the width of its
+    inputs; everything else is materialized at the default scalar width.
+    Leaves are created at the default width (Parameter converts its data),
+    so the precision of a model is fixed by the width active when its
+    parameters were created.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -87,6 +89,8 @@ class Tensor:
 class Parameter:
     """Named tensor owned by a model component.
 
+    The data is materialized at the default scalar width unless a dtype
+    is given, whatever the width of the initializer's array.
     trainable=False freezes the parameter: the optimizer skips it and
     backward never touches its accumulator, while gradients still pass
     through operations that read it.
@@ -95,6 +99,8 @@ class Parameter:
     __slots__ = ("tensor", "name")
 
     def __init__(self, data, name: str, trainable: bool = True, dtype=None):
+        if dtype is None:
+            dtype = get_default_dtype()
         self.tensor = Tensor(data, requires_grad=trainable, dtype=dtype)
         self.name = name
 

@@ -4,11 +4,12 @@ Layout (all little-endian): a header of format version (u32) and
 parameter count (u32), then per parameter: name length (u32), name
 bytes (utf-8), rank (u32), one u32 per dimension, and the values as
 32-bit floats in row-major order. Serialization round-trips byte for
-byte.
+byte; input that does not follow the layout raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -18,13 +19,17 @@ FORMAT_VERSION = 1
 
 
 class ExpertCheckpoint:
-    """Immutable ordered list of (name, float32 array)."""
+    """Immutable ordered list of (name, float32 array).
+
+    Every array is copied on construction, so a checkpoint never shares
+    memory with the parameters it was taken from.
+    """
 
     def __init__(self, entries: list[tuple[str, np.ndarray]]):
         names = [n for n, _ in entries]
         if len(names) != len(set(names)):
             raise ValueError("duplicate parameter names in checkpoint")
-        self.entries = [(n, np.ascontiguousarray(a, dtype="<f4")) for n, a in entries]
+        self.entries = [(n, np.array(a, dtype="<f4", order="C")) for n, a in entries]
         for _, a in self.entries:
             a.flags.writeable = False
 
@@ -60,26 +65,32 @@ class ExpertCheckpoint:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ExpertCheckpoint":
         view = memoryview(blob)
-        version, count = struct.unpack_from("<II", view, 0)
+        offset = 0
+
+        def take(n: int, what: str) -> memoryview:
+            nonlocal offset
+            if n > len(view) - offset:
+                raise ValueError(f"truncated checkpoint: {what} needs {n} bytes at "
+                                 f"offset {offset}, {len(view) - offset} left")
+            offset += n
+            return view[offset - n:offset]
+
+        version, count = struct.unpack("<II", take(8, "header"))
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
-        offset = 8
         entries = []
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", view, offset)
-            offset += 4
-            name = bytes(view[offset:offset + name_len]).decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", view, offset)
-            offset += 4
-            dims = struct.unpack_from(f"<{rank}I", view, offset)
-            offset += 4 * rank
-            size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            arr = np.frombuffer(view, dtype="<f4", count=size, offset=offset).reshape(dims)
-            offset += 4 * size
-            entries.append((name, arr.copy()))
-        if offset != len(blob):
-            raise ValueError(f"trailing bytes in checkpoint ({len(blob) - offset})")
+        for i in range(count):
+            (name_len,) = struct.unpack("<I", take(4, f"entry {i} name length"))
+            try:
+                name = bytes(take(name_len, f"entry {i} name")).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"malformed checkpoint: entry {i} name is not utf-8") from exc
+            (rank,) = struct.unpack("<I", take(4, f"{name!r} rank"))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name!r} shape"))
+            values = take(4 * math.prod(dims), f"{name!r} values")
+            entries.append((name, np.frombuffer(values, dtype="<f4").reshape(dims)))
+        if offset != len(view):
+            raise ValueError(f"trailing bytes in checkpoint ({len(view) - offset})")
         return cls(entries)
 
     def save(self, path) -> None:

@@ -292,7 +292,7 @@ def contrastive_loss(z: Tensor, z_aug: Tensor, temperature: float = 1.0) -> Tens
     b = z.data.shape[0]
     if b < 2:
         logger.warning("contrastive loss skipped: batch of %d has no negatives", b)
-        return Tensor(np.zeros(()))
+        return Tensor(np.zeros((), dtype=z.data.dtype))
     sim = ad.scale(ad.matmul(z, ad.swapaxes(z_aug, 0, 1)), 1.0 / temperature)
     labels = np.arange(b)
     forward = ad.cross_entropy(sim, labels)

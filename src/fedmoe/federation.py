@@ -267,10 +267,11 @@ def client_update(client: ClientState, snapshot: dict[str, ExpertCheckpoint] | N
                     total, components = client_losses(client, batch, aug,
                                                       targets[idx], rng)
                 backward(total, tape)
-            client.optimizer.step()
+            # checked before the step so a bad batch leaves the parameters intact
             if not np.isfinite(total.data):
                 raise FloatingPointError(
                     f"non-finite loss in domain {client.domain_id}: {components}")
+            client.optimizer.step()
     return client.local_encoder_checkpoint()
 
 

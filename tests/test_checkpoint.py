@@ -4,10 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedmoe import autodiff as ad
 from fedmoe import expert
 from fedmoe.checkpoint import (ExpertCheckpoint, checkpoint_from_params,
                                load_into_params)
+from fedmoe.optim import Adam
 
 
 def random_checkpoint(seed=0, n=4):
@@ -93,3 +97,65 @@ class TestParamsBridge:
         ckpt = random_checkpoint()
         with pytest.raises(ValueError):
             ckpt.get("p0")[0, 0] = 5.0
+
+    def test_checkpoint_owns_its_bytes_across_an_optimizer_step(self):
+        cfg = expert.ModelConfig(width=8, blocks=1, heads=1, ff_mult=2, t_max=4)
+        with ad.default_dtype(np.float32):
+            params = expert.init_encoder(np.random.default_rng(0), cfg).parameters()
+        assert {p.data.dtype for p in params} == {np.dtype(np.float32)}
+        ckpt = checkpoint_from_params(params)
+        before = ckpt.to_bytes()
+        for p in params:
+            assert not np.shares_memory(ckpt.get(p.name), p.data)
+            p.tensor.grad = np.ones_like(p.data)
+        Adam(params, lr=0.1).step()
+        assert ckpt.to_bytes() == before
+        assert all(p.data.flags.writeable for p in params)
+        assert checkpoint_from_params(params).to_bytes() != before
+
+
+VALID_BLOB = ExpertCheckpoint([
+    ("block0.w", np.arange(6, dtype=np.float32).reshape(2, 3)),
+    ("scalar", np.float32(1.5)),
+    ("empty", np.zeros((0, 2), np.float32)),
+]).to_bytes()
+
+
+def parse_or_value_error(blob: bytes) -> None:
+    """Malformed input raises ValueError only; what parses round-trips."""
+    try:
+        ckpt = ExpertCheckpoint.from_bytes(blob)
+    except ValueError as exc:
+        assert str(exc)
+        return
+    assert ckpt.to_bytes() == blob
+
+
+class TestMalformedBytes:
+    @given(st.integers(0, len(VALID_BLOB) - 1))
+    def test_truncation_rejected(self, cut):
+        with pytest.raises(ValueError, match="truncated"):
+            ExpertCheckpoint.from_bytes(VALID_BLOB[:cut])
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 8), st.binary(max_size=128))
+    def test_random_blob_after_valid_header(self, count, body):
+        parse_or_value_error(struct.pack("<II", 1, count) + body)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, len(VALID_BLOB) - 1), st.integers(0, 255))
+    def test_corrupted_byte(self, index, value):
+        blob = bytearray(VALID_BLOB)
+        blob[index] = value
+        parse_or_value_error(bytes(blob))
+
+    def test_huge_declared_shape_rejected_without_allocating(self):
+        blob = (struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"w"
+                + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(ValueError, match="'w' values"):
+            ExpertCheckpoint.from_bytes(blob)
+
+    def test_invalid_utf8_name_rejected(self):
+        blob = struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"\xff"
+        with pytest.raises(ValueError, match="utf-8"):
+            ExpertCheckpoint.from_bytes(blob)

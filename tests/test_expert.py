@@ -226,6 +226,12 @@ class TestContrastiveLoss:
         assert float(loss.data) == 0.0
         assert any("contrastive" in r.message for r in caplog.records)
 
+    def test_batch_of_one_zero_keeps_float32(self):
+        z = ad.Tensor(np.ones((1, 3), np.float32))
+        with ad.default_dtype(np.float32):
+            loss = expert.contrastive_loss(z, ad.Tensor(np.ones((1, 3), np.float32)))
+        assert loss.data.dtype == np.float32
+
     def test_gradient_check_random_batch(self):
         rng = np.random.default_rng(13)
         z0 = rng.standard_normal((4, 8))

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fedmoe import autodiff as ad
 from fedmoe import data, expert, federation
 from fedmoe.checkpoint import ExpertCheckpoint
 from fedmoe.config import RunConfig
@@ -110,6 +111,38 @@ class TestClientUpdate:
         assert len(components) == 7  # 2 per expert branch + fusion, D=3
         assert np.isfinite(total.data)
         assert float(total.data) == pytest.approx(sum(components.values()), rel=1e-5)
+
+
+    def test_non_finite_loss_raises_before_the_step(self, scenario, monkeypatch):
+        client = federation.build_client(scenario, "d1", small_config())
+        real_losses = federation.client_losses
+
+        def infinite_losses(*args, **kwargs):
+            total, components = real_losses(*args, **kwargs)
+            return ad.scale(total, np.inf), components
+
+        monkeypatch.setattr(federation, "client_losses", infinite_losses)
+        before = [p.data.tobytes() for p in client.all_parameters()]
+        with pytest.raises(FloatingPointError, match="domain d1"), \
+                np.errstate(invalid="ignore"):
+            federation.client_update(client, None, 0)
+        assert [p.data.tobytes() for p in client.all_parameters()] == before
+        assert client.optimizer.t == 0
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("overrides, width", [({}, np.float32),
+                                                  ({"precision": "float64"}, np.float64)])
+    def test_parameters_gradients_and_moments_at_configured_width(self, scenario,
+                                                                   overrides, width):
+        res = federation.run(scenario, small_config(**overrides))
+        for client in res.clients:
+            params = client.all_parameters()
+            grads = [p.tensor.grad for p in params if p.tensor.grad is not None]
+            moments = [m for pair in client.optimizer._moments.values() for m in pair]
+            assert grads and moments
+            arrays = [p.data for p in params] + grads + moments
+            assert {a.dtype for a in arrays} == {np.dtype(width)}, client.domain_id
 
 
 class TestFedavgAggregate:

@@ -19,6 +19,7 @@ import contextlib
 import threading
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ShapeError
 
@@ -242,6 +243,8 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for {a.data.shape} x {b.data.shape}")
+    if b.data.ndim == 2 and a.data.ndim >= 3:
+        return _matmul_flat(a, b)
     out = Tensor(np.matmul(a.data, b.data))
 
     def bwd(g):
@@ -250,6 +253,25 @@ def matmul(a, b) -> Tensor:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
         if b.requires_grad:
             gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return ga, gb
+
+    return _record(out, (a, b), bwd)
+
+
+def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
+    """Stacked rows times one weight matrix as a single 2-d GEMM.
+
+    The weight gradient is one product over all rows instead of a batched
+    matmul followed by a sum over the stack.
+    """
+    k, n = b.data.shape
+    a2 = a.data.reshape(-1, k)
+    out = Tensor((a2 @ b.data).reshape(a.data.shape[:-1] + (n,)))
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        ga = (g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
+        gb = a2.T @ g2 if b.requires_grad else None
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -330,9 +352,13 @@ def gather_rows(table, ids) -> Tensor:
     out = Tensor(table.data[ids])
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.ravel(), g.reshape(-1, table.data.shape[1]))
-        return (gt,)
+        # one-hot (rows, n) product: each row sums its lookups in position
+        # order, exactly what a scatter-add gives, without np.add.at's cost
+        rows, d = table.data.shape
+        flat = ids.ravel()
+        onehot = sp.csr_matrix((np.ones(flat.size, dtype=g.dtype), (flat, np.arange(flat.size))),
+                               shape=(rows, flat.size))
+        return (onehot @ g.reshape(-1, d),)
 
     return _record(out, (table,), bwd)
 
@@ -453,14 +479,23 @@ def cross_entropy(logits, target) -> Tensor:
     return _record(out, (logits,), bwd)
 
 
-def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
-    """Train-mode dropout with inverted scaling; eval paths skip the call."""
+def dropout(a, p: float, rng: np.random.Generator, draw_shape=None) -> Tensor:
+    """Train-mode dropout with inverted scaling; eval paths skip the call.
+
+    The mask is drawn at draw_shape (default a's shape) and its trailing
+    block of a's shape applied, so an op computed at the last rows of a
+    larger activation consumes the random stream as the whole one would.
+    """
     a = as_tensor(a)
     if p <= 0.0:
         return a
+    shape = a.data.shape if draw_shape is None else tuple(draw_shape)
+    if len(shape) != a.data.ndim or any(m > n for n, m in zip(shape, a.data.shape)):
+        raise ShapeError(f"dropout: cannot apply a {shape} draw to {a.data.shape}")
     keep = 1.0 - p
     draw_dtype = np.float32 if a.data.dtype == np.float32 else np.float64
-    mask = (rng.random(a.data.shape, dtype=draw_dtype) < keep).astype(a.data.dtype) / keep
+    mask = (rng.random(shape, dtype=draw_dtype) < keep).astype(a.data.dtype) / keep
+    mask = mask[tuple(slice(n - m, None) for n, m in zip(shape, a.data.shape))]
     out = Tensor(a.data * mask)
     return _record(out, (a,), lambda g: (g * mask,))
 

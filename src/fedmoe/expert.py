@@ -10,6 +10,13 @@ Token inputs mix the raw item embedding with a graph-propagated view of
 the embedding table (row-normalized next-item transitions), then add a
 position encoding indexed by the item's offset inside the sequence.
 Architecture defaults: pre-normalization blocks, GELU activation.
+
+Every objective reads only the final-position representation z, so
+encode_batch and encode_pair run the last block at the final position
+alone: its keys and values still cover every position, and earlier
+blocks run at all positions. Its dropout masks are still drawn at the
+all-position shape, so the random stream, and every augmentation and mask
+drawn after it, is the same as for the all-position pass.
 """
 
 from __future__ import annotations
@@ -177,8 +184,17 @@ def _attention_bias(prefixes: np.ndarray, dtype) -> np.ndarray:
 
 def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
                     train: bool = False, rng: np.random.Generator | None = None,
-                    table: Tensor | None = None) -> Tensor:
-    """Per-position encoder states (batch, t_max, width)."""
+                    table: Tensor | None = None, final_only: bool = False) -> Tensor:
+    """Encoder states (batch, t_max, width) at every position, or
+    (batch, width) at the final position alone when final_only is set.
+
+    With final_only the last block computes its queries, attention rows,
+    output projection, second norm and feed-forward at the final position
+    only; its keys and values, and every earlier block, still cover all
+    positions. Its dropout masks are drawn at the all-position shape and
+    their final-position rows applied (draw_shape), so the rng advances
+    exactly as in the all-position pass and later draws do not shift.
+    """
     cfg = branch.cfg
     b, t = prefixes.shape
     if (prefixes.sum(axis=1) == 0).any():
@@ -196,27 +212,43 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
 
     heads = cfg.heads
     dh = cfg.width // heads
-    bias = Tensor(_attention_bias(prefixes, tok.data.dtype))
+    dtype = tok.data.dtype
+    bias = _attention_bias(prefixes, dtype)
+    drop = train and cfg.dropout > 0.0
     x = tok
-    for block in branch.encoder.blocks:
+    rows = t  # query positions of the current block, the last `rows` of t
+    blocks = branch.encoder.blocks
+    for i, block in enumerate(blocks):
         h = ad.layer_norm(x, block.norm1_gain.tensor, block.norm1_bias.tensor)
-        q = _split_heads(ad.matmul(h, block.attn_q.tensor), heads, dh)
         k = _split_heads(ad.matmul(h, block.attn_k.tensor), heads, dh)
         v = _split_heads(ad.matmul(h, block.attn_v.tensor), heads, dh)
-        scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5), bias)
+        if final_only and i == len(blocks) - 1:
+            rows = 1
+            x = _final_position(x)
+            h = _final_position(h)
+        q = _split_heads(ad.matmul(h, block.attn_q.tensor), heads, dh)
+        scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5),
+                        Tensor(bias[:, :, t - rows:]))
         attn = ad.softmax(scores, axis=-1)
-        if train and cfg.dropout > 0.0:
-            attn = ad.dropout(attn, cfg.dropout, rng)
-        ctx = _merge_heads(ad.matmul(attn, v), b, t, cfg.width)
+        if drop:
+            attn = ad.dropout(attn, cfg.dropout, rng, draw_shape=(b, heads, t, t))
+        ctx = _merge_heads(ad.matmul(attn, v), b, rows, cfg.width)
         x = ad.add(x, ad.matmul(ctx, block.attn_out.tensor))
 
         h2 = ad.layer_norm(x, block.norm2_gain.tensor, block.norm2_bias.tensor)
         f = ad.gelu(ad.add(ad.matmul(h2, block.ff_in.tensor), block.ff_in_bias.tensor))
-        if train and cfg.dropout > 0.0:
-            f = ad.dropout(f, cfg.dropout, rng)
+        if drop:
+            f = ad.dropout(f, cfg.dropout, rng, draw_shape=(b, t, f.data.shape[-1]))
         x = ad.add(x, ad.add(ad.matmul(f, block.ff_out.tensor), block.ff_out_bias.tensor))
     # padding positions carry no signal; blank them so states are well defined
-    return ad.mul(x, Tensor(mask[:, :, None].astype(x.data.dtype)))
+    x = ad.mul(x, Tensor(mask[:, t - rows:, None].astype(dtype)))
+    return ad.reshape(x, (b, cfg.width)) if final_only else x
+
+
+def _final_position(x: Tensor) -> Tensor:
+    """(batch, t, d) -> (batch, 1, d) at the last position."""
+    b, t, d = x.data.shape
+    return ad.reshape(ad.select(x, axis=1, index=t - 1), (b, 1, d))
 
 
 def encode_batch(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
@@ -227,8 +259,7 @@ def encode_batch(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     Returns (z, logits) with z the representation at the last position
     and logits over the domain catalog (index i is item i + 1).
     """
-    states = _forward_states(branch, norm_adjacency, prefixes, train, rng, table)
-    z = ad.select(states, axis=1, index=prefixes.shape[1] - 1)
+    z = _forward_states(branch, norm_adjacency, prefixes, train, rng, table, final_only=True)
     hidden = ad.gelu(ad.add(ad.matmul(z, branch.head_hidden.tensor),
                             branch.head_hidden_bias.tensor))
     logits = ad.add(ad.matmul(hidden, branch.head_out.tensor), branch.head_out_bias.tensor)
@@ -254,8 +285,7 @@ def encode_pair(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     """
     b = prefixes.shape[0]
     stacked = np.concatenate([prefixes, aug_prefixes], axis=0)
-    states = _forward_states(branch, norm_adjacency, stacked, train, rng, table)
-    z_all = ad.select(states, axis=1, index=stacked.shape[1] - 1)
+    z_all = _forward_states(branch, norm_adjacency, stacked, train, rng, table, final_only=True)
     z = ad.slice_rows(z_all, 0, b)
     z_aug = ad.slice_rows(z_all, b, 2 * b)
     hidden = ad.gelu(ad.add(ad.matmul(z, branch.head_hidden.tensor),

@@ -15,7 +15,6 @@ a two-phase schedule with exactly one synchronization.
 from __future__ import annotations
 
 import concurrent.futures
-import copy
 import dataclasses
 import logging
 
@@ -44,15 +43,33 @@ GLOBAL_MODES = GATED_MODES + ("no_gate",)
 
 
 class ServerCache:
-    """Domain id -> latest uploaded encoder checkpoint."""
+    """Domain id -> latest uploaded encoder checkpoint.
+
+    The first upload of a domain fixes its entry names and shapes; a later
+    upload must have the same, and every value of every upload must be finite.
+    """
 
     def __init__(self):
         self.checkpoints: dict[str, ExpertCheckpoint] = {}
         self.shared: ExpertCheckpoint | None = None  # fedavg baseline only
         self.round_index = 0
         self.upload_history: list[tuple[int, str, tuple[str, ...]]] = []
+        self._layouts: dict[str, dict[str, tuple[int, ...]]] = {}
 
     def put(self, domain_id: str, ckpt: ExpertCheckpoint) -> None:
+        """Store an upload; a malformed one raises ValueError and is not stored."""
+        got = {n: a.shape for n, a in ckpt.entries}
+        want = self._layouts.get(domain_id, got)
+        for name in sorted(got.keys() | want.keys()):
+            if got.get(name) != want.get(name):
+                raise ValueError(
+                    f"upload from domain {domain_id!r}: entry {name!r} has shape "
+                    f"{got.get(name, 'absent')}, its first upload {want.get(name, 'absent')}")
+        for name, arr in ckpt.entries:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"upload from domain {domain_id!r}: entry {name!r} "
+                                 f"has non-finite values")
+        self._layouts.setdefault(domain_id, got)
         self.upload_history.append((self.round_index, domain_id, tuple(ckpt.names)))
         self.checkpoints[domain_id] = ckpt
 
@@ -510,23 +527,3 @@ def _run_two_phase(scenario: ScenarioSpec, cfg: RunConfig) -> RunResult:
     history, best_round = _early_stop_loop(clients, cfg, "two_phase", one_round)
     final = evaluate_all(clients, "test", best_round, "two_phase")
     return RunResult("two_phase", history, final, best_round, cache, clients)
-
-
-def run_federation(scenario: ScenarioSpec, cfg: RunConfig) -> list[MetricsReport]:
-    """Round-by-round validation metrics for the configured mode."""
-    return run(scenario, cfg).history
-
-
-def run_mode(scenario: ScenarioSpec, cfg: RunConfig, mode: str,
-             drop_domain: str | None = None) -> MetricsReport:
-    """Final test report for one mode (baselines and ablations)."""
-    variant = dataclasses.replace(cfg, mode=mode,
-                                  drop_domain=drop_domain or cfg.drop_domain)
-    return run(scenario, variant).final_test
-
-
-def run_two_phase(scenario: ScenarioSpec, cfg: RunConfig,
-                  global_pretrain_epochs: int) -> MetricsReport:
-    variant = dataclasses.replace(cfg, mode="two_phase",
-                                  pretrain_epochs=global_pretrain_epochs)
-    return run(scenario, variant).final_test

@@ -112,6 +112,44 @@ class TestMatmul:
         num = central_difference(f, a)
         assert gradient_close(ta.grad, num, rel_tol=1e-6)
 
+    @pytest.mark.parametrize("b_trainable", [True, False], ids=["both", "b_frozen"])
+    def test_stacked_times_2d_gradients_vs_central_differences(self, b_trainable):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((4, 5))
+        probe = rng.standard_normal((2, 3, 5))
+
+        ta = ad.Tensor(a, requires_grad=True)
+        tb = ad.Tensor(b, requires_grad=b_trainable)
+        with ad.Tape() as tape:
+            out = ad.matmul(ta, tb)
+            ad.backward(ad.tsum(ad.mul(out, ad.Tensor(probe))), tape)
+        assert out.data.shape == (2, 3, 5)
+        num_a = central_difference(lambda av: float((np.matmul(av, b) * probe).sum()), a)
+        assert gradient_close(ta.grad, num_a, rel_tol=1e-6)
+        if b_trainable:
+            num_b = central_difference(lambda bv: float((np.matmul(a, bv) * probe).sum()), b)
+            assert gradient_close(tb.grad, num_b, rel_tol=1e-6)
+        else:
+            assert tb.grad is None
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_bit_identical_to_scatter_add(self, dtype):
+        rng = np.random.default_rng(3)
+        table = ad.Tensor(rng.standard_normal((7, 5)).astype(dtype), requires_grad=True)
+        ids = rng.integers(0, 7, size=(6, 9))
+        ids[0, :4] = 2  # repeated ids, within and across rows
+        g = rng.standard_normal((6, 9, 5)).astype(dtype)
+        with ad.Tape() as tape:
+            out = ad.gather_rows(table, ids)
+            ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))), tape)
+        expected = np.zeros((7, 5), dtype=dtype)
+        np.add.at(expected, ids.ravel(), g.reshape(-1, 5))
+        assert table.grad.dtype == dtype
+        assert np.array_equal(table.grad, expected)
+
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
@@ -278,6 +316,24 @@ class TestDropout:
             mask = out.data.copy()
             ad.backward(ad.tsum(out), tape)
         np.testing.assert_array_equal(x.tensor.grad, mask)
+
+    def test_larger_draw_applies_its_trailing_block(self):
+        rng = np.random.default_rng(8)
+        full = ad.dropout(ad.Tensor(np.ones((3, 4, 4))), 0.5, rng).data
+        after_full = rng.random()
+        x = ad.Parameter(np.full((3, 1, 4), 2.0), "x")
+        rng = np.random.default_rng(8)
+        with ad.Tape() as tape:
+            out = ad.dropout(x.tensor, 0.5, rng, draw_shape=(3, 4, 4))
+            ad.backward(ad.tsum(out), tape)
+        np.testing.assert_array_equal(out.data, 2.0 * full[:, -1:])
+        np.testing.assert_array_equal(x.tensor.grad, full[:, -1:])
+        assert rng.random() == after_full
+
+    def test_draw_smaller_than_input_rejected(self):
+        with pytest.raises(ShapeError, match="draw"):
+            ad.dropout(ad.Tensor(np.ones((3, 4))), 0.5, np.random.default_rng(0),
+                       draw_shape=(3, 2))
 
 
 class TestAdam:

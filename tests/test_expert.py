@@ -152,6 +152,45 @@ class TestEncode:
             expert.encode_batch(branch, self.adj, padded([1, 2], 6)[None, :], train=True)
 
 
+class TestFinalPositionPath:
+    """final_only computes the last block at the final position alone; it
+    must give the last row of the all-position pass, the same gradients,
+    and consume the dropout stream exactly as that pass does."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_matches_last_row_of_all_positions(self, blocks, heads):
+        cfg = expert.ModelConfig(width=8, blocks=blocks, heads=heads, ff_mult=2,
+                                 gnn_depth=1, t_max=6, dropout=0.3)
+        branch = expert.init_branch(np.random.default_rng(3), 10, cfg)
+        adj = data.build_adjacency([[1, 2, 3, 4], [5, 6, 7], [8, 9, 10]], 10)
+        prefixes = np.stack([padded([1, 2, 3, 4, 5], 6), padded([6, 7], 6),
+                             padded([1, 2, 3, 4, 5, 6], 6), padded([9], 6)])
+        probe = np.random.default_rng(4).standard_normal((4, 8))
+        params = ([branch.item_embeddings, branch.position_embeddings]
+                  + branch.encoder.parameters())
+
+        def run(final_only):
+            for p in params:
+                p.tensor.zero_grad()
+            rng = np.random.default_rng(5)
+            with ad.Tape() as tape:
+                out = expert._forward_states(branch, adj, prefixes, train=True, rng=rng,
+                                             final_only=final_only)
+                z = out if final_only else ad.select(out, axis=1, index=5)
+                ad.backward(ad.tsum(ad.mul(z, ad.Tensor(probe))), tape)
+            return z.data, [p.tensor.grad for p in params], rng.random()
+
+        z_all, grads_all, next_all = run(False)
+        z_last, grads_last, next_last = run(True)
+        assert z_last.shape == (4, 8)
+        np.testing.assert_allclose(z_last, z_all, rtol=0, atol=1e-12)
+        for p, ga, gl in zip(params, grads_all, grads_last):
+            assert ga is not None and gl is not None, p.name
+            np.testing.assert_allclose(gl, ga, rtol=0, atol=1e-12, err_msg=p.name)
+        assert next_last == next_all
+
+
 def _flat(params):
     return np.concatenate([p.data.ravel() for p in params])
 

@@ -145,6 +145,53 @@ class TestPrecision:
             assert {a.dtype for a in arrays} == {np.dtype(width)}, client.domain_id
 
 
+class TestServerCachePut:
+    def _cache(self):
+        cache = federation.ServerCache()
+        cache.put("d0", ExpertCheckpoint([("w", np.zeros((2, 3), np.float32)),
+                                          ("b", np.zeros(3, np.float32))]))
+        return cache
+
+    def _rejected(self, cache, ckpt, match):
+        before = (cache.state_bytes(), list(cache.upload_history))
+        with pytest.raises(ValueError, match=match):
+            cache.put("d0", ckpt)
+        assert (cache.state_bytes(), cache.upload_history) == before
+
+    def test_matching_upload_replaces(self):
+        cache = self._cache()
+        ckpt = ExpertCheckpoint([("w", np.ones((2, 3), np.float32)),
+                                 ("b", np.ones(3, np.float32))])
+        cache.put("d0", ckpt)
+        assert cache.checkpoints["d0"] is ckpt
+        assert len(cache.upload_history) == 2
+
+    def test_other_names_rejected(self):
+        ckpt = ExpertCheckpoint([("w", np.ones((2, 3), np.float32)),
+                                 ("bias", np.ones(3, np.float32))])
+        self._rejected(self._cache(), ckpt, r"'d0'.*entry 'b'")
+
+    def test_other_shape_rejected(self):
+        ckpt = ExpertCheckpoint([("w", np.ones((3, 2), np.float32)),
+                                 ("b", np.ones(3, np.float32))])
+        self._rejected(self._cache(), ckpt, r"'d0'.*entry 'w'.*\(3, 2\).*\(2, 3\)")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        b = np.ones(3, np.float32)
+        b[1] = bad
+        ckpt = ExpertCheckpoint([("w", np.ones((2, 3), np.float32)), ("b", b)])
+        self._rejected(self._cache(), ckpt, r"'d0'.*entry 'b'.*non-finite")
+
+    def test_non_finite_first_upload_fixes_nothing(self):
+        cache = federation.ServerCache()
+        with pytest.raises(ValueError, match="non-finite"):
+            cache.put("d1", ExpertCheckpoint([("w", np.full(2, np.nan, np.float32))]))
+        good = ExpertCheckpoint([("v", np.zeros(4, np.float32))])
+        cache.put("d1", good)
+        assert cache.checkpoints == {"d1": good}
+
+
 class TestFedavgAggregate:
     def test_idempotent_on_identical_checkpoints(self):
         ckpt = ExpertCheckpoint([("a", np.full((3, 3), 0.7, np.float32)),

@@ -250,12 +250,24 @@ def matmul(a, b) -> Tensor:
     def bwd(g):
         ga = gb = None
         if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            ga = _unbroadcast(_product(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
         if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            gb = _unbroadcast(_product(np.swapaxes(a.data, -1, -2), g), b.data.shape)
         return ga, gb
 
     return _record(out, (a, b), bwd)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.matmul, as a broadcast outer product when the contracted dim is 1.
+
+    A sum of one term is exact either way, and numpy's batched matmul is
+    slow on such thin operands (a one-head attention's gradient with
+    respect to the states it scores and pools: (b, t, 1) x (b, 1, d)).
+    """
+    if x.shape[-1] == 1 and x.ndim >= 2 and y.ndim >= 2:
+        return np.einsum("...ik,...kj->...ij", x, y)
+    return np.matmul(x, y)
 
 
 def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
@@ -464,14 +476,15 @@ def cross_entropy(logits, target) -> Tensor:
     if targets.min() < 0 or targets.max() >= n:
         raise IndexError(f"cross_entropy: target out of range [0, {n})")
     m = x2.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(x2 - m).sum(axis=1))
+    e = np.exp(x2 - m)
+    total = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
     rows = np.arange(x2.shape[0])
     losses = lse - x2[rows, targets]
     out = Tensor(losses.mean())
 
     def bwd(g):
-        p = np.exp(x2 - m)
-        p /= p.sum(axis=1, keepdims=True)
+        p = e / total
         p[rows, targets] -= 1.0
         p *= g / x2.shape[0]
         return (p.reshape(x.shape),)
@@ -494,36 +507,45 @@ def dropout(a, p: float, rng: np.random.Generator, draw_shape=None) -> Tensor:
         raise ShapeError(f"dropout: cannot apply a {shape} draw to {a.data.shape}")
     keep = 1.0 - p
     draw_dtype = np.float32 if a.data.dtype == np.float32 else np.float64
-    mask = (rng.random(shape, dtype=draw_dtype) < keep).astype(a.data.dtype) / keep
-    mask = mask[tuple(slice(n - m, None) for n, m in zip(shape, a.data.shape))]
+    u = rng.random(shape, dtype=draw_dtype)[tuple(slice(n - m, None)
+                                                  for n, m in zip(shape, a.data.shape))]
+    mask = (u < keep).astype(a.data.dtype) / keep
     out = Tensor(a.data * mask)
     return _record(out, (a,), lambda g: (g * mask,))
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Mean/variance normalization over the last axis with learned affine."""
+    """Mean/variance normalization over the last axis with learned affine.
+
+    Works on the 2-d (rows, d) view: every row mean is one GEMV against a
+    constant 1/d column, and the gain and bias gradients are column sums,
+    each one GEMV against a row of ones (far faster than numpy's sum over
+    the leading axis).
+    """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    centered = a.data - a.data.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    d = a.data.shape[-1]
+    x2 = a.data.reshape(-1, d)
+    avg = np.full((d, 1), 1.0 / d, dtype=x2.dtype)
+    centered = x2 - x2 @ avg
+    inv = 1.0 / np.sqrt((centered * centered) @ avg + eps)
     xhat = centered * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    red = tuple(range(a.data.ndim - 1))
+    out = Tensor((xhat * gain.data + bias.data).reshape(a.data.shape))
 
     def bwd(g):
+        g2 = g.reshape(-1, d)
         ga = ggain = gbias = None
         if a.requires_grad:
-            gxh = g * gain.data
+            gxh = g2 * gain.data
             # dx = inv * (gxh - mean(gxh) - xhat * mean(gxh * xhat))
-            ga = inv * (
-                gxh
-                - gxh.mean(axis=-1, keepdims=True)
-                - xhat * (gxh * xhat).mean(axis=-1, keepdims=True)
-            )
+            ga = gxh - gxh @ avg
+            ga -= xhat * ((gxh * xhat) @ avg)
+            ga *= inv
+            ga = ga.reshape(a.data.shape)
+        ones = np.ones(g2.shape[0], dtype=g2.dtype)
         if gain.requires_grad:
-            ggain = (g * xhat).sum(axis=red) if red else g * xhat
+            ggain = (ones @ (g2 * xhat)).reshape(gain.data.shape)
         if bias.requires_grad:
-            gbias = g.sum(axis=red) if red else g
+            gbias = (ones @ g2).reshape(bias.data.shape)
         return ga, ggain, gbias
 
     return _record(out, (a, gain, bias), bwd)

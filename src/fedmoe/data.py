@@ -261,7 +261,37 @@ def augment(prefix: np.ndarray, beta: float, rng: np.random.Generator) -> np.nda
 
 
 def augment_batch(prefixes: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarray:
-    return np.stack([augment(row, beta, rng) for row in prefixes])
+    """augment applied to every row of a (batch, T) matrix.
+
+    The draws are augment's, one integers and one permutation call per
+    shuffled row in row order, so the output and the rng's state match the
+    row-by-row loop; item counts, windows and index sets are computed for
+    the whole batch and the rows written by one fancy-index assignment.
+    """
+    out = prefixes.copy()
+    if beta <= 0.0:
+        return out
+    present = prefixes != 0
+    n = present.sum(axis=1)
+    window = np.round(beta * n).astype(np.int64)
+    shuffled = np.flatnonzero((n > 1) & (window > 1))
+    if not shuffled.size:
+        return out
+    starts = np.empty(shuffled.size, dtype=np.int64)
+    perms = []
+    for j, i in enumerate(shuffled):
+        w = int(window[i])
+        starts[j] = rng.integers(0, int(n[i]) - w + 1)
+        perms.append(rng.permutation(w))
+    # positions of each row's items, in order, ahead of its padding
+    order = np.argsort(~present, axis=1, kind="stable")
+    w = window[shuffled]
+    rows = np.repeat(shuffled, w)
+    first = np.repeat(starts, w)
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(w) - w, w)
+    src = order[rows, first + np.concatenate(perms)]
+    out[rows, order[rows, first + offsets]] = prefixes[rows, src]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,15 @@ position encoding indexed by the item's offset inside the sequence.
 Architecture defaults: pre-normalization blocks, GELU activation.
 
 Every objective reads only the final-position representation z, so
-encode_batch and encode_pair run the last block at the final position
-alone: its keys and values still cover every position, and earlier
-blocks run at all positions. Its dropout masks are still drawn at the
-all-position shape, so the random stream, and every augmentation and mask
-drawn after it, is the same as for the all-position pass.
+encode_batch and encode_pair run the last block for the final query
+alone, and earlier blocks at all positions. That block never forms keys
+or values: by associativity the final query's score of position j is
+q.(h_j W_k) = (q W_k^T).h_j and its context is (sum_j a_j h_j) W_v, so
+one vector per head scores the normed states h and the attention weights
+pool h before the value projection. Its dropout masks are still drawn at
+the all-position shape and only their final rows applied: drawing fewer
+numbers would shift the random stream, and every augmentation and mask
+drawn after it, like a re-seed.
 """
 
 from __future__ import annotations
@@ -172,12 +176,13 @@ def lookup_table(branch: BranchParams, norm_adjacency) -> Tensor:
     return ad.add(emb, gnn_propagate(norm_adjacency, emb, branch.cfg.gnn_depth))
 
 
-def _attention_bias(prefixes: np.ndarray, dtype) -> np.ndarray:
-    """(batch, 1, T, T) additive mask: forbids future positions and padding keys."""
+def _attention_bias(prefixes: np.ndarray, dtype, rows: int) -> np.ndarray:
+    """(batch, 1, rows, T) additive mask for the last `rows` query positions:
+    forbids future positions and padding keys."""
     b, t = prefixes.shape
-    causal = np.tril(np.ones((t, t), dtype=bool))
+    causal = np.tril(np.ones((t, t), dtype=bool))[t - rows:]
     key_ok = (prefixes != 0)[:, None, :]            # (b, 1, t)
-    allowed = causal[None, :, :] & key_ok           # (b, t, t)
+    allowed = causal[None, :, :] & key_ok           # (b, rows, t)
     bias = np.where(allowed, 0.0, -1e9).astype(dtype)
     return bias[:, None, :, :]
 
@@ -188,12 +193,16 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     """Encoder states (batch, t_max, width) at every position, or
     (batch, width) at the final position alone when final_only is set.
 
-    With final_only the last block computes its queries, attention rows,
-    output projection, second norm and feed-forward at the final position
-    only; its keys and values, and every earlier block, still cover all
-    positions. Its dropout masks are drawn at the all-position shape and
-    their final-position rows applied (draw_shape), so the rng advances
-    exactly as in the all-position pass and later draws do not shift.
+    With final_only the last block attends from the final query alone and
+    never forms its keys and values. By associativity the score of key j
+    is q.(h_j W_k) = (q W_k^T).h_j, so one vector r = q_h W_k,h^T per
+    head scores the normed states h directly; the attention weights then
+    pool h, and one product (sum_j a_j h_j) W_v,h per head gives the
+    context. The output projection, second norm and feed-forward also run
+    at the final position; every earlier block covers all positions.
+    Its dropout masks are drawn at the all-position shape and their
+    final-position rows applied (draw_shape), so the rng advances exactly
+    as in the all-position pass and later draws do not shift.
     """
     cfg = branch.cfg
     b, t = prefixes.shape
@@ -213,36 +222,75 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     heads = cfg.heads
     dh = cfg.width // heads
     dtype = tok.data.dtype
-    bias = _attention_bias(prefixes, dtype)
     drop = train and cfg.dropout > 0.0
-    x = tok
-    rows = t  # query positions of the current block, the last `rows` of t
     blocks = branch.encoder.blocks
+    full_blocks = len(blocks) - 1 if final_only else len(blocks)
+    if full_blocks:
+        bias = Tensor(_attention_bias(prefixes, dtype, t))
+    x = tok
     for i, block in enumerate(blocks):
         h = ad.layer_norm(x, block.norm1_gain.tensor, block.norm1_bias.tensor)
-        k = _split_heads(ad.matmul(h, block.attn_k.tensor), heads, dh)
-        v = _split_heads(ad.matmul(h, block.attn_v.tensor), heads, dh)
-        if final_only and i == len(blocks) - 1:
-            rows = 1
-            x = _final_position(x)
-            h = _final_position(h)
-        q = _split_heads(ad.matmul(h, block.attn_q.tensor), heads, dh)
-        scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5),
-                        Tensor(bias[:, :, t - rows:]))
-        attn = ad.softmax(scores, axis=-1)
-        if drop:
-            attn = ad.dropout(attn, cfg.dropout, rng, draw_shape=(b, heads, t, t))
-        ctx = _merge_heads(ad.matmul(attn, v), b, rows, cfg.width)
-        x = ad.add(x, ad.matmul(ctx, block.attn_out.tensor))
+        if i < full_blocks:
+            x = ad.add(x, _attend_all(block, h, bias, heads, dh, rng if drop else None,
+                                      cfg.dropout))
+        else:
+            x = ad.add(_final_position(x),
+                       _attend_final(block, h, _attention_bias(prefixes, dtype, 1),
+                                     heads, dh, rng if drop else None, cfg.dropout))
 
         h2 = ad.layer_norm(x, block.norm2_gain.tensor, block.norm2_bias.tensor)
         f = ad.gelu(ad.add(ad.matmul(h2, block.ff_in.tensor), block.ff_in_bias.tensor))
         if drop:
             f = ad.dropout(f, cfg.dropout, rng, draw_shape=(b, t, f.data.shape[-1]))
         x = ad.add(x, ad.add(ad.matmul(f, block.ff_out.tensor), block.ff_out_bias.tensor))
+    rows = x.data.shape[1]
     # padding positions carry no signal; blank them so states are well defined
     x = ad.mul(x, Tensor(mask[:, t - rows:, None].astype(dtype)))
     return ad.reshape(x, (b, cfg.width)) if final_only else x
+
+
+def _attend_all(block: EncoderBlock, h: Tensor, bias: Tensor, heads: int, dh: int,
+                rng: np.random.Generator | None, p: float) -> Tensor:
+    """Causal self-attention output (batch, t, d) at every position of h."""
+    b, t, d = h.data.shape
+    q = _split_heads(ad.matmul(h, block.attn_q.tensor), heads, dh)
+    k = _split_heads(ad.matmul(h, block.attn_k.tensor), heads, dh)
+    v = _split_heads(ad.matmul(h, block.attn_v.tensor), heads, dh)
+    scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5), bias)
+    attn = ad.softmax(scores, axis=-1)
+    if rng is not None:
+        attn = ad.dropout(attn, p, rng)
+    ctx = _merge_heads(ad.matmul(attn, v), b, t, d)
+    return ad.matmul(ctx, block.attn_out.tensor)
+
+
+def _attend_final(block: EncoderBlock, h: Tensor, bias: np.ndarray, heads: int, dh: int,
+                  rng: np.random.Generator | None, p: float) -> Tensor:
+    """Attention output (batch, 1, d) of the final query over the normed
+    states h (batch, t, d), without forming keys or values.
+
+    The per-head weight products put the heads on the batch axis,
+    (heads, batch, dh) x (heads, dh, d), so each weight gradient is one
+    batched product with nothing to sum over the batch. Scores are laid
+    out (batch, t, heads), so the gradient with respect to h comes out in
+    h's own layout; a (batch, d, t) gradient transposed back into h's was
+    several times slower to accumulate.
+    """
+    b, t, d = h.data.shape
+    q = ad.matmul(_final_position(h), block.attn_q.tensor)              # (b, 1, d)
+    q = ad.swapaxes(ad.reshape(q, (b, heads, dh)), 0, 1)                # (H, b, dh)
+    k_t = ad.reshape(ad.swapaxes(block.attn_k.tensor, 0, 1), (heads, dh, d))  # (H, dh, d)
+    r = ad.swapaxes(ad.swapaxes(ad.matmul(q, k_t), 0, 1), 1, 2)         # (b, d, H)
+    scores = ad.add(ad.scale(ad.matmul(h, r), dh ** -0.5),
+                    Tensor(bias[:, 0, 0, :, None]))                     # (b, t, H)
+    attn = ad.swapaxes(ad.softmax(scores, axis=1), 1, 2)                # (b, H, t)
+    if rng is not None:
+        attn = ad.reshape(ad.dropout(ad.reshape(attn, (b, heads, 1, t)), p, rng,
+                                     draw_shape=(b, heads, t, t)), (b, heads, t))
+    pooled = ad.swapaxes(ad.matmul(attn, h), 0, 1)                     # (H, b, d)
+    v = ad.swapaxes(ad.reshape(block.attn_v.tensor, (d, heads, dh)), 0, 1)  # (H, d, dh)
+    ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, 1, d))
+    return ad.matmul(ctx, block.attn_out.tensor)
 
 
 def _final_position(x: Tensor) -> Tensor:

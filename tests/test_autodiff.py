@@ -133,6 +133,55 @@ class TestMatmul:
         else:
             assert tb.grad is None
 
+    def test_contracted_dim_one_gradients_vs_central_differences(self):
+        """(2, 1, 3) x (1, 3, 1): both backward products contract a dim of 1
+        and broadcast over the stack, so they take the outer-product path."""
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((2, 1, 3))
+        b = rng.standard_normal((1, 3, 1))
+        probe = rng.standard_normal((2, 1, 1))
+
+        ta = ad.Tensor(a, requires_grad=True)
+        tb = ad.Tensor(b, requires_grad=True)
+        with ad.Tape() as tape:
+            ad.backward(ad.tsum(ad.mul(ad.matmul(ta, tb), ad.Tensor(probe))), tape)
+        np.testing.assert_array_equal(ta.grad, (probe * np.swapaxes(b, -1, -2)))
+        assert tb.grad.shape == b.shape
+        num_a = central_difference(lambda av: float((np.matmul(av, b) * probe).sum()), a)
+        num_b = central_difference(lambda bv: float((np.matmul(a, bv) * probe).sum()), b)
+        assert gradient_close(ta.grad, num_a, rel_tol=1e-6)
+        assert gradient_close(tb.grad, num_b, rel_tol=1e-6)
+
+
+class TestLayerNorm:
+    def test_stacked_input_with_trainable_affine_vs_central_differences(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 3, 4))
+        gain = rng.uniform(0.5, 1.5, 4)
+        bias = rng.standard_normal(4)
+        probe = rng.standard_normal((2, 3, 4))
+
+        def f(xv, gv, bv):
+            return float((ad.layer_norm(ad.Tensor(xv), ad.Tensor(gv), ad.Tensor(bv)).data
+                          * probe).sum())
+
+        tx, tg, tb = (ad.Tensor(v, requires_grad=True) for v in (x, gain, bias))
+        with ad.Tape() as tape:
+            ad.backward(ad.tsum(ad.mul(ad.layer_norm(tx, tg, tb), ad.Tensor(probe))), tape)
+        assert gradient_close(tx.grad, central_difference(lambda v: f(v, gain, bias), x),
+                              rel_tol=1e-6)
+        assert gradient_close(tg.grad, central_difference(lambda v: f(x, v, bias), gain),
+                              rel_tol=1e-6)
+        assert gradient_close(tb.grad, central_difference(lambda v: f(x, gain, v), bias),
+                              rel_tol=1e-6)
+
+    def test_rows_normalized(self):
+        x = np.random.default_rng(5).standard_normal((2, 3, 6)) * 4.0 + 3.0
+        out = ad.layer_norm(ad.Tensor(x), ad.Tensor(np.ones(6)), ad.Tensor(np.zeros(6))).data
+        assert out.shape == x.shape
+        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.var(axis=-1), 1.0, rtol=1e-3)
+
 
 class TestGatherRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

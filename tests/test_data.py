@@ -176,6 +176,19 @@ class TestAugment:
         assert sorted(out.tolist()) == sorted(prefix.tolist())
         np.testing.assert_array_equal(out[:t_max - len(items)], 0)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 16),
+           st.sampled_from([0.0, 0.2, 0.5, 0.6, 0.99, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_row_by_row_reference(self, seed, b, t_max, beta):
+        gen = np.random.default_rng(seed)
+        prefixes = np.zeros((b, t_max), dtype=np.int64)
+        for row, n in zip(prefixes, gen.integers(0, t_max + 1, size=b)):
+            row[t_max - n:] = gen.integers(1, 50, size=n)
+        ref_rng, rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        expected = np.stack([data.augment(row, beta, ref_rng) for row in prefixes])
+        np.testing.assert_array_equal(data.augment_batch(prefixes, beta, rng), expected)
+        assert rng.random() == ref_rng.random()
+
 
 class TestSynthetic:
     def test_invalid_specs_rejected(self):

@@ -157,9 +157,8 @@ class TestFinalPositionPath:
     must give the last row of the all-position pass, the same gradients,
     and consume the dropout stream exactly as that pass does."""
 
-    @pytest.mark.parametrize("heads", [1, 2])
-    @pytest.mark.parametrize("blocks", [1, 2])
-    def test_matches_last_row_of_all_positions(self, blocks, heads):
+    @staticmethod
+    def _run_both(blocks, heads):
         cfg = expert.ModelConfig(width=8, blocks=blocks, heads=heads, ff_mult=2,
                                  gnn_depth=1, t_max=6, dropout=0.3)
         branch = expert.init_branch(np.random.default_rng(3), 10, cfg)
@@ -181,13 +180,26 @@ class TestFinalPositionPath:
                 ad.backward(ad.tsum(ad.mul(z, ad.Tensor(probe))), tape)
             return z.data, [p.tensor.grad for p in params], rng.random()
 
-        z_all, grads_all, next_all = run(False)
-        z_last, grads_last, next_last = run(True)
+        return params, run(False), run(True)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_matches_last_row_of_all_positions(self, blocks, heads):
+        params, (z_all, grads_all, next_all), (z_last, grads_last, next_last) = \
+            self._run_both(blocks, heads)
         assert z_last.shape == (4, 8)
         np.testing.assert_allclose(z_last, z_all, rtol=0, atol=1e-12)
         for p, ga, gl in zip(params, grads_all, grads_last):
             assert ga is not None and gl is not None, p.name
             np.testing.assert_allclose(gl, ga, rtol=0, atol=1e-12, err_msg=p.name)
+        assert next_last == next_all
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_float32_matches_all_positions(self, heads):
+        with ad.default_dtype(np.float32):
+            params, (z_all, _, next_all), (z_last, _, next_last) = self._run_both(2, heads)
+        assert z_last.dtype == np.float32
+        np.testing.assert_allclose(z_last, z_all, rtol=1e-5, atol=0)
         assert next_last == next_all
 
 

@@ -342,6 +342,42 @@ def select(a, axis: int, index: int) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def take_rows(a, rows) -> Tensor:
+    """Rows of a at distinct indices into its flattened leading axes,
+    shape (len(rows), a.shape[-1]).
+
+    Backward writes each row's gradient into a zero array of a's shape;
+    the indices are distinct, so nothing accumulates.
+    """
+    a = as_tensor(a)
+    d = a.data.shape[-1]
+    rows = np.asarray(rows)
+    out = Tensor(a.data.reshape(-1, d)[rows])
+
+    def bwd(g):
+        ga = np.zeros((a.data.size // d, d), dtype=a.data.dtype)
+        ga[rows] = g
+        return (ga.reshape(a.data.shape),)
+
+    return _record(out, (a,), bwd)
+
+
+def scatter_rows(a, rows, lead) -> Tensor:
+    """The rows of a 2-d tensor placed at distinct indices into the
+    flattened leading axes `lead`, zeros elsewhere: shape lead + (d,).
+
+    The inverse of take_rows; backward takes the rows back out.
+    """
+    a = as_tensor(a)
+    d = a.data.shape[-1]
+    rows = np.asarray(rows)
+    lead = tuple(lead)
+    out = np.zeros((int(np.prod(lead)), d), dtype=a.data.dtype)
+    out[rows] = a.data
+    return _record(Tensor(out.reshape(lead + (d,))), (a,),
+                   lambda g: (g.reshape(-1, d)[rows],))
+
+
 def slice_rows(a, start: int, stop: int) -> Tensor:
     """Contiguous row range along the first axis."""
     a = as_tensor(a)
@@ -492,23 +528,30 @@ def cross_entropy(logits, target) -> Tensor:
     return _record(out, (logits,), bwd)
 
 
-def dropout(a, p: float, rng: np.random.Generator, draw_shape=None) -> Tensor:
+def dropout(a, p: float, rng: np.random.Generator, draw_shape=None, rows=None) -> Tensor:
     """Train-mode dropout with inverted scaling; eval paths skip the call.
 
-    The mask is drawn at draw_shape (default a's shape) and its trailing
-    block of a's shape applied, so an op computed at the last rows of a
-    larger activation consumes the random stream as the whole one would.
+    The mask is drawn at draw_shape (default a's shape) and applied in
+    part: its trailing block of a's shape, or, given rows, the rows of the
+    draw at those first-axis indices. An op computed at some positions of
+    a larger activation thus consumes the random stream as the whole one
+    would.
     """
     a = as_tensor(a)
     if p <= 0.0:
         return a
     shape = a.data.shape if draw_shape is None else tuple(draw_shape)
-    if len(shape) != a.data.ndim or any(m > n for n, m in zip(shape, a.data.shape)):
+    if rows is None:
+        pick = tuple(slice(n - m, None) for n, m in zip(shape, a.data.shape))
+        fits = len(shape) == a.data.ndim and all(m <= n for n, m in zip(shape, a.data.shape))
+    else:
+        pick = np.asarray(rows)
+        fits = pick.shape == a.data.shape[:1] and shape[1:] == a.data.shape[1:]
+    if not fits:
         raise ShapeError(f"dropout: cannot apply a {shape} draw to {a.data.shape}")
     keep = 1.0 - p
     draw_dtype = np.float32 if a.data.dtype == np.float32 else np.float64
-    u = rng.random(shape, dtype=draw_dtype)[tuple(slice(n - m, None)
-                                                  for n, m in zip(shape, a.data.shape))]
+    u = rng.random(shape, dtype=draw_dtype)[pick]
     mask = (u < keep).astype(a.data.dtype) / keep
     out = Tensor(a.data * mask)
     return _record(out, (a,), lambda g: (g * mask,))

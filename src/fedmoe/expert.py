@@ -11,16 +11,29 @@ the embedding table (row-normalized next-item transitions), then add a
 position encoding indexed by the item's offset inside the sequence.
 Architecture defaults: pre-normalization blocks, GELU activation.
 
+Prefixes are left-padded, and at training time most positions are
+padding (every prefix of a history is a sample). The encoder therefore
+works on a packed (n_real, width) matrix of the real positions, in
+row-major order: the gathers, layer norms, projections, feed-forward and
+residual adds never touch padding. Padding needs no compute: the
+attention bias gives every padding key a weight of exactly zero, so no
+real position reads a padding state, and padding states are blank in the
+output. Only attention returns to the (batch, t_max) layout, with zeros
+at padding, and what its padding queries compute is dropped when the
+context is packed back.
+
 Every objective reads only the final-position representation z, so
-encode_batch and encode_pair run the last block for the final query
-alone, and earlier blocks at all positions. That block never forms keys
-or values: by associativity the final query's score of position j is
-q.(h_j W_k) = (q W_k^T).h_j and its context is (sum_j a_j h_j) W_v, so
-one vector per head scores the normed states h and the attention weights
-pool h before the value projection. Its dropout masks are still drawn at
-the all-position shape and only their final rows applied: drawing fewer
-numbers would shift the random stream, and every augmentation and mask
-drawn after it, like a re-seed.
+encode_batch and encode_pair run the last block for each row's final
+query alone, and earlier blocks at all real positions. That block never
+forms keys or values: by associativity the final query's score of
+position j is q.(h_j W_k) = (q W_k^T).h_j and its context is
+(sum_j a_j h_j) W_v, so one vector per head scores the normed states h
+and the attention weights pool h before the value projection.
+
+Dropout masks are still drawn at the all-position shape, padding and
+non-final rows included, and only the rows of computed positions
+applied: drawing fewer numbers would shift the random stream, and every
+augmentation and mask drawn after it, like a re-seed.
 """
 
 from __future__ import annotations
@@ -190,8 +203,20 @@ def _attention_bias(prefixes: np.ndarray, dtype, rows: int) -> np.ndarray:
 def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
                     train: bool = False, rng: np.random.Generator | None = None,
                     table: Tensor | None = None, final_only: bool = False) -> Tensor:
-    """Encoder states (batch, t_max, width) at every position, or
-    (batch, width) at the final position alone when final_only is set.
+    """Encoder states (batch, t_max, width) at every position, zero at
+    padding, or (batch, width) at the final position alone when final_only
+    is set.
+
+    Position-wise work runs packed: the real positions of the left-padded
+    prefixes, in row-major order, are the rows of one (n_real, width)
+    matrix. The item and position gathers, every layer norm, the Q/K/V and
+    output projections, the feed-forward and the residual adds see only
+    those rows. Attention alone returns to the (batch, t_max) layout: q, k
+    and v are placed there with zeros at padding, and the context is packed
+    back, dropping what the padding queries computed. Padding needs no
+    other compute: the attention bias gives every padding key a weight of
+    exactly zero, so no real position reads one, and padding states are
+    blank in the output.
 
     With final_only the last block attends from the final query alone and
     never forms its keys and values. By associativity the score of key j
@@ -199,104 +224,114 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     head scores the normed states h directly; the attention weights then
     pool h, and one product (sum_j a_j h_j) W_v,h per head gives the
     context. The output projection, second norm and feed-forward also run
-    at the final position; every earlier block covers all positions.
-    Its dropout masks are drawn at the all-position shape and their
-    final-position rows applied (draw_shape), so the rng advances exactly
-    as in the all-position pass and later draws do not shift.
+    at the final position; every earlier block covers all real positions.
+
+    Dropout masks are drawn at the all-position (batch, t_max, ...) shape
+    and only the rows of computed positions applied (draw_shape and rows),
+    so the rng advances exactly as in a pass over every position and later
+    draws do not shift.
     """
     cfg = branch.cfg
     b, t = prefixes.shape
-    if (prefixes.sum(axis=1) == 0).any():
-        raise ValueError("encode: a prefix contains no items")
+    real = prefixes != 0
+    empty = ~real.any(axis=1)
+    if empty.any():
+        raise ValueError(f"encode: a prefix contains no items (row {int(np.argmax(empty))})")
+    gaps = (real[:, :-1] & ~real[:, 1:]).any(axis=1)
+    if gaps.any():
+        raise ValueError(f"encode: prefix row {int(np.argmax(gaps))} is not left-padded "
+                         f"(padding follows an item)")
     if train and cfg.dropout > 0.0 and rng is None:
         raise ValueError("train-mode encode needs an rng for dropout")
     if table is None:
         table = lookup_table(branch, norm_adjacency)
 
-    mask = (prefixes != 0)
-    pos_idx = np.maximum(np.cumsum(mask, axis=1) - 1, 0)
-    tok = ad.gather_rows(table, prefixes)
-    tok = ad.add(tok, ad.gather_rows(branch.position_embeddings.tensor, pos_idx))
-    tok = ad.mul(tok, Tensor(mask[:, :, None].astype(tok.data.dtype)))
+    vi = np.flatnonzero(real)               # packed rows: real positions, row-major
+    last = np.cumsum(real.sum(axis=1)) - 1  # each row's final packed row
+    pos_idx = (np.cumsum(real, axis=1) - 1).ravel()[vi]
+    x = ad.add(ad.gather_rows(table, prefixes.ravel()[vi]),
+               ad.gather_rows(branch.position_embeddings.tensor, pos_idx))
 
     heads = cfg.heads
     dh = cfg.width // heads
-    dtype = tok.data.dtype
-    drop = train and cfg.dropout > 0.0
+    dtype = x.data.dtype
+    drop_rng = rng if train and cfg.dropout > 0.0 else None
     blocks = branch.encoder.blocks
     full_blocks = len(blocks) - 1 if final_only else len(blocks)
     if full_blocks:
         bias = Tensor(_attention_bias(prefixes, dtype, t))
-    x = tok
+    rows = vi  # flat (batch * t_max) positions of x's rows
     for i, block in enumerate(blocks):
         h = ad.layer_norm(x, block.norm1_gain.tensor, block.norm1_bias.tensor)
         if i < full_blocks:
-            x = ad.add(x, _attend_all(block, h, bias, heads, dh, rng if drop else None,
-                                      cfg.dropout))
+            x = ad.add(x, _attend_all(block, h, vi, bias, heads, dh, drop_rng, cfg.dropout))
         else:
-            x = ad.add(_final_position(x),
-                       _attend_final(block, h, _attention_bias(prefixes, dtype, 1),
-                                     heads, dh, rng if drop else None, cfg.dropout))
+            x = ad.add(ad.take_rows(x, last),
+                       _attend_final(block, h, vi, last, _attention_bias(prefixes, dtype, 1),
+                                     heads, dh, drop_rng, cfg.dropout))
+            rows = vi[last]
 
         h2 = ad.layer_norm(x, block.norm2_gain.tensor, block.norm2_bias.tensor)
         f = ad.gelu(ad.add(ad.matmul(h2, block.ff_in.tensor), block.ff_in_bias.tensor))
-        if drop:
-            f = ad.dropout(f, cfg.dropout, rng, draw_shape=(b, t, f.data.shape[-1]))
+        if drop_rng is not None:
+            f = ad.dropout(f, cfg.dropout, drop_rng, draw_shape=(b * t, f.data.shape[-1]),
+                           rows=rows)
         x = ad.add(x, ad.add(ad.matmul(f, block.ff_out.tensor), block.ff_out_bias.tensor))
-    rows = x.data.shape[1]
-    # padding positions carry no signal; blank them so states are well defined
-    x = ad.mul(x, Tensor(mask[:, t - rows:, None].astype(dtype)))
-    return ad.reshape(x, (b, cfg.width)) if final_only else x
+    return x if final_only else ad.scatter_rows(x, vi, (b, t))
 
 
-def _attend_all(block: EncoderBlock, h: Tensor, bias: Tensor, heads: int, dh: int,
-                rng: np.random.Generator | None, p: float) -> Tensor:
-    """Causal self-attention output (batch, t, d) at every position of h."""
-    b, t, d = h.data.shape
-    q = _split_heads(ad.matmul(h, block.attn_q.tensor), heads, dh)
-    k = _split_heads(ad.matmul(h, block.attn_k.tensor), heads, dh)
-    v = _split_heads(ad.matmul(h, block.attn_v.tensor), heads, dh)
+def _attend_all(block: EncoderBlock, h: Tensor, vi: np.ndarray, bias: Tensor, heads: int,
+                dh: int, rng: np.random.Generator | None, p: float) -> Tensor:
+    """Causal self-attention output (n_real, d) at every packed row of h.
+
+    The projections run on the packed rows; q, k and v are placed at
+    their positions vi of the (batch, t) layout for the attention itself,
+    and the context is packed back before the output projection.
+    """
+    b, _, _, t = bias.data.shape
+    d = h.data.shape[-1]
+    q, k, v = (_split_heads(ad.scatter_rows(ad.matmul(h, w.tensor), vi, (b, t)), heads, dh)
+               for w in (block.attn_q, block.attn_k, block.attn_v))
     scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5), bias)
     attn = ad.softmax(scores, axis=-1)
     if rng is not None:
         attn = ad.dropout(attn, p, rng)
-    ctx = _merge_heads(ad.matmul(attn, v), b, t, d)
+    ctx = ad.take_rows(_merge_heads(ad.matmul(attn, v), b, t, d), vi)
     return ad.matmul(ctx, block.attn_out.tensor)
 
 
-def _attend_final(block: EncoderBlock, h: Tensor, bias: np.ndarray, heads: int, dh: int,
+def _attend_final(block: EncoderBlock, h: Tensor, vi: np.ndarray, last: np.ndarray,
+                  bias: np.ndarray, heads: int, dh: int,
                   rng: np.random.Generator | None, p: float) -> Tensor:
-    """Attention output (batch, 1, d) of the final query over the normed
-    states h (batch, t, d), without forming keys or values.
+    """Attention output (batch, d) of each row's final query over the
+    packed normed states h (n_real, d), without forming keys or values.
 
-    The per-head weight products put the heads on the batch axis,
-    (heads, batch, dh) x (heads, dh, d), so each weight gradient is one
-    batched product with nothing to sum over the batch. Scores are laid
-    out (batch, t, heads), so the gradient with respect to h comes out in
-    h's own layout; a (batch, d, t) gradient transposed back into h's was
-    several times slower to accumulate.
+    The states are placed in the (batch, t, d) layout with zeros at
+    padding; the bias gives those keys zero weight. The per-head weight
+    products put the heads on the batch axis, (heads, batch, dh) x
+    (heads, dh, d), so each weight gradient is one batched product with
+    nothing to sum over the batch. Scores are laid out (batch, t, heads),
+    so the gradient with respect to the states comes out in their own
+    layout; a (batch, d, t) gradient transposed back was several times
+    slower to accumulate.
     """
-    b, t, d = h.data.shape
-    q = ad.matmul(_final_position(h), block.attn_q.tensor)              # (b, 1, d)
+    b, t = len(last), bias.shape[-1]
+    d = h.data.shape[-1]
+    hs = ad.scatter_rows(h, vi, (b, t))                                 # (b, t, d)
+    q = ad.matmul(ad.take_rows(h, last), block.attn_q.tensor)           # (b, d)
     q = ad.swapaxes(ad.reshape(q, (b, heads, dh)), 0, 1)                # (H, b, dh)
     k_t = ad.reshape(ad.swapaxes(block.attn_k.tensor, 0, 1), (heads, dh, d))  # (H, dh, d)
     r = ad.swapaxes(ad.swapaxes(ad.matmul(q, k_t), 0, 1), 1, 2)         # (b, d, H)
-    scores = ad.add(ad.scale(ad.matmul(h, r), dh ** -0.5),
+    scores = ad.add(ad.scale(ad.matmul(hs, r), dh ** -0.5),
                     Tensor(bias[:, 0, 0, :, None]))                     # (b, t, H)
     attn = ad.swapaxes(ad.softmax(scores, axis=1), 1, 2)                # (b, H, t)
     if rng is not None:
         attn = ad.reshape(ad.dropout(ad.reshape(attn, (b, heads, 1, t)), p, rng,
                                      draw_shape=(b, heads, t, t)), (b, heads, t))
-    pooled = ad.swapaxes(ad.matmul(attn, h), 0, 1)                     # (H, b, d)
+    pooled = ad.swapaxes(ad.matmul(attn, hs), 0, 1)                    # (H, b, d)
     v = ad.swapaxes(ad.reshape(block.attn_v.tensor, (d, heads, dh)), 0, 1)  # (H, d, dh)
-    ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, 1, d))
+    ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, d))
     return ad.matmul(ctx, block.attn_out.tensor)
-
-
-def _final_position(x: Tensor) -> Tensor:
-    """(batch, t, d) -> (batch, 1, d) at the last position."""
-    b, t, d = x.data.shape
-    return ad.reshape(ad.select(x, axis=1, index=t - 1), (b, 1, d))
 
 
 def encode_batch(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,

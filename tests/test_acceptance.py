@@ -370,6 +370,7 @@ def desk_runs():
     return runs
 
 
+@pytest.mark.desk
 def test_criterion_9_transfer_gain(desk_runs):
     fmoe = [desk_runs[("fmoe", s)].final_test.avg.mrr for s in SEEDS]
     local = [desk_runs[("local", s)].final_test.avg.mrr for s in SEEDS]
@@ -381,6 +382,7 @@ def test_criterion_9_transfer_gain(desk_runs):
         f"gain {gain:+.2f}, wins {wins}/3")
 
 
+@pytest.mark.desk
 def test_criterion_10_checkpoint_quality_trend(desk_runs):
     long = [desk_runs[("tp6", s)].final_test.avg.mrr for s in SEEDS]
     zero = [desk_runs[("tp0", s)].final_test.avg.mrr for s in SEEDS]
@@ -390,6 +392,7 @@ def test_criterion_10_checkpoint_quality_trend(desk_runs):
         f">= pretrain0 {np.mean(zero):.2f}")
 
 
+@pytest.mark.desk
 def test_criterion_11_expert_removal(desk_runs):
     targets = ("d0", "d2")  # d1's expert is the one removed
     full = np.mean([[desk_runs[("fmoe", s)].final_test.per_domain[t].mrr
@@ -410,6 +413,7 @@ def _train_split_experts(run) -> list[tuple[np.ndarray, np.ndarray]]:
             for _, m in sorted(report.per_domain.items())]
 
 
+@pytest.mark.desk
 def test_criterion_12_gate_downweights_uninformative_experts(desk_runs):
     """With decorrelated sources (correlation 0), the gate gives its least
     informative expert less than uniform weight, and its weights follow

@@ -66,6 +66,8 @@ OP_CASES = [
     ("concat", lambda t: ad.concat_last([t, ad.mul(t, t)]), (3, 4)),
     ("gather", lambda t: ad.gather_rows(t, np.array([[0, 2], [2, 2]])), (3, 4)),
     ("take_along", lambda t: ad.take_along_last(t, np.array([1, 3, 0])), (3, 4)),
+    ("take_rows", lambda t: ad.take_rows(t, np.array([4, 0, 3])), (2, 3, 4)),
+    ("scatter_rows", lambda t: ad.scatter_rows(t, np.array([5, 1, 2]), (2, 3)), (3, 4)),
     ("sparse_matmul", lambda t: ad.sparse_matmul(
         sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])), t), (3, 4)),
 ]
@@ -378,6 +380,25 @@ class TestDropout:
         np.testing.assert_array_equal(out.data, 2.0 * full[:, -1:])
         np.testing.assert_array_equal(x.tensor.grad, full[:, -1:])
         assert rng.random() == after_full
+
+    def test_rows_of_a_larger_draw_applied(self):
+        rng = np.random.default_rng(8)
+        full = ad.dropout(ad.Tensor(np.ones((6, 4))), 0.5, rng).data
+        after_full = rng.random()
+        rows = np.array([1, 4, 5])
+        x = ad.Parameter(np.full((3, 4), 2.0), "x")
+        rng = np.random.default_rng(8)
+        with ad.Tape() as tape:
+            out = ad.dropout(x.tensor, 0.5, rng, draw_shape=(6, 4), rows=rows)
+            ad.backward(ad.tsum(out), tape)
+        np.testing.assert_array_equal(out.data, 2.0 * full[rows])
+        np.testing.assert_array_equal(x.tensor.grad, full[rows])
+        assert rng.random() == after_full
+
+    def test_rows_that_do_not_fit_rejected(self):
+        with pytest.raises(ShapeError, match="draw"):
+            ad.dropout(ad.Tensor(np.ones((3, 4))), 0.5, np.random.default_rng(0),
+                       draw_shape=(6, 4), rows=np.array([0, 1]))
 
     def test_draw_smaller_than_input_rejected(self):
         with pytest.raises(ShapeError, match="draw"):

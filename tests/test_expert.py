@@ -95,6 +95,16 @@ class TestEncode:
         with pytest.raises(ValueError, match="no items"):
             expert.encode(np.zeros(6, dtype=np.int64), self.branch, self.adj)
 
+    @pytest.mark.parametrize("bad", [[3, 4, 0, 0, 0, 0], [0, 0, 3, 0, 4, 5]])
+    def test_prefix_not_left_padded_rejected_before_compute(self, bad, monkeypatch):
+        def computed(*args):
+            raise AssertionError("the encoder computed before checking its input")
+
+        monkeypatch.setattr(expert, "lookup_table", computed)
+        prefixes = np.stack([padded([1, 2], 6), np.array(bad)])
+        with pytest.raises(ValueError, match="row 1 is not left-padded"):
+            expert.encode_batch(self.branch, self.adj, prefixes)
+
     def test_output_shapes(self):
         enc = expert.encode(padded([1, 2, 3], 6), self.branch, self.adj)
         assert enc.z.data.shape == (8,)
@@ -201,6 +211,139 @@ class TestFinalPositionPath:
         assert z_last.dtype == np.float32
         np.testing.assert_allclose(z_last, z_all, rtol=1e-5, atol=0)
         assert next_last == next_all
+
+
+def _dense_forward_states(branch, norm_adjacency, prefixes, train=False, rng=None,
+                          final_only=False):
+    """Reference encoder over every (batch, t) position, padding included:
+    the layout the packed encoder replaced. Padding tokens are blanked
+    after the embedding, every block's position-wise ops run on all
+    positions, and padding states are blanked at the end."""
+    cfg = branch.cfg
+    b, t = prefixes.shape
+    table = expert.lookup_table(branch, norm_adjacency)
+    mask = (prefixes != 0)
+    pos_idx = np.maximum(np.cumsum(mask, axis=1) - 1, 0)
+    tok = ad.gather_rows(table, prefixes)
+    tok = ad.add(tok, ad.gather_rows(branch.position_embeddings.tensor, pos_idx))
+    tok = ad.mul(tok, ad.Tensor(mask[:, :, None].astype(tok.data.dtype)))
+
+    heads = cfg.heads
+    dh = cfg.width // heads
+    dtype = tok.data.dtype
+    drop = train and cfg.dropout > 0.0
+    blocks = branch.encoder.blocks
+    full_blocks = len(blocks) - 1 if final_only else len(blocks)
+    bias = ad.Tensor(expert._attention_bias(prefixes, dtype, t))
+    x = tok
+    for i, block in enumerate(blocks):
+        h = ad.layer_norm(x, block.norm1_gain.tensor, block.norm1_bias.tensor)
+        if i < full_blocks:
+            x = ad.add(x, _dense_attend_all(block, h, bias, heads, dh,
+                                            rng if drop else None, cfg.dropout))
+        else:
+            x = ad.add(_dense_final_position(x),
+                       _dense_attend_final(block, h, expert._attention_bias(prefixes, dtype, 1),
+                                           heads, dh, rng if drop else None, cfg.dropout))
+        h2 = ad.layer_norm(x, block.norm2_gain.tensor, block.norm2_bias.tensor)
+        f = ad.gelu(ad.add(ad.matmul(h2, block.ff_in.tensor), block.ff_in_bias.tensor))
+        if drop:
+            f = ad.dropout(f, cfg.dropout, rng, draw_shape=(b, t, f.data.shape[-1]))
+        x = ad.add(x, ad.add(ad.matmul(f, block.ff_out.tensor), block.ff_out_bias.tensor))
+    rows = x.data.shape[1]
+    x = ad.mul(x, ad.Tensor(mask[:, t - rows:, None].astype(dtype)))
+    return ad.reshape(x, (b, cfg.width)) if final_only else x
+
+
+def _dense_attend_all(block, h, bias, heads, dh, rng, p):
+    b, t, d = h.data.shape
+    q = expert._split_heads(ad.matmul(h, block.attn_q.tensor), heads, dh)
+    k = expert._split_heads(ad.matmul(h, block.attn_k.tensor), heads, dh)
+    v = expert._split_heads(ad.matmul(h, block.attn_v.tensor), heads, dh)
+    scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5), bias)
+    attn = ad.softmax(scores, axis=-1)
+    if rng is not None:
+        attn = ad.dropout(attn, p, rng)
+    ctx = expert._merge_heads(ad.matmul(attn, v), b, t, d)
+    return ad.matmul(ctx, block.attn_out.tensor)
+
+
+def _dense_attend_final(block, h, bias, heads, dh, rng, p):
+    b, t, d = h.data.shape
+    q = ad.matmul(_dense_final_position(h), block.attn_q.tensor)
+    q = ad.swapaxes(ad.reshape(q, (b, heads, dh)), 0, 1)
+    k_t = ad.reshape(ad.swapaxes(block.attn_k.tensor, 0, 1), (heads, dh, d))
+    r = ad.swapaxes(ad.swapaxes(ad.matmul(q, k_t), 0, 1), 1, 2)
+    scores = ad.add(ad.scale(ad.matmul(h, r), dh ** -0.5), ad.Tensor(bias[:, 0, 0, :, None]))
+    attn = ad.swapaxes(ad.softmax(scores, axis=1), 1, 2)
+    if rng is not None:
+        attn = ad.reshape(ad.dropout(ad.reshape(attn, (b, heads, 1, t)), p, rng,
+                                     draw_shape=(b, heads, t, t)), (b, heads, t))
+    pooled = ad.swapaxes(ad.matmul(attn, h), 0, 1)
+    v = ad.swapaxes(ad.reshape(block.attn_v.tensor, (d, heads, dh)), 0, 1)
+    ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, 1, d))
+    return ad.matmul(ctx, block.attn_out.tensor)
+
+
+def _dense_final_position(x):
+    b, t, d = x.data.shape
+    return ad.reshape(ad.select(x, axis=1, index=t - 1), (b, 1, d))
+
+
+class TestPackedMatchesDenseOracle:
+    """The packed encoder computes only real positions; it must give the
+    dense all-position reference's states, gradients and rng stream, in
+    train mode with dropout."""
+
+    @staticmethod
+    def _run_both(blocks, heads, final_only):
+        cfg = expert.ModelConfig(width=8, blocks=blocks, heads=heads, ff_mult=2,
+                                 gnn_depth=1, t_max=6, dropout=0.3)
+        branch = expert.init_branch(np.random.default_rng(3), 10, cfg)
+        adj = data.build_adjacency([[1, 2, 3, 4], [5, 6, 7], [8, 9, 10]], 10)
+        # lengths 5, 2, 6 (no padding), 1 and 3
+        prefixes = np.stack([padded([1, 2, 3, 4, 5], 6), padded([6, 7], 6),
+                             padded([1, 2, 3, 4, 5, 6], 6), padded([9], 6),
+                             padded([10, 3, 8], 6)])
+        shape = (5, 8) if final_only else (5, 6, 8)
+        probe = np.random.default_rng(4).standard_normal(shape)
+        params = ([branch.item_embeddings, branch.position_embeddings]
+                  + branch.encoder.parameters())
+
+        def run(forward):
+            for p in params:
+                p.tensor.zero_grad()
+            rng = np.random.default_rng(5)
+            with ad.Tape() as tape:
+                out = forward(branch, adj, prefixes, train=True, rng=rng,
+                              final_only=final_only)
+                ad.backward(ad.tsum(ad.mul(out, ad.Tensor(probe.astype(out.data.dtype)))),
+                            tape)
+            return out.data, [p.tensor.grad for p in params], rng.random()
+
+        return params, run(_dense_forward_states), run(expert._forward_states)
+
+    @pytest.mark.parametrize("final_only", [True, False])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_matches_dense_reference(self, blocks, heads, final_only):
+        params, (dense, grads_dense, next_dense), (packed, grads_packed, next_packed) = \
+            self._run_both(blocks, heads, final_only)
+        assert packed.shape == dense.shape
+        np.testing.assert_allclose(packed, dense, rtol=0, atol=1e-12)
+        for p, gd, gp in zip(params, grads_dense, grads_packed):
+            assert gd is not None and gp is not None, p.name
+            np.testing.assert_allclose(gp, gd, rtol=0, atol=1e-12, err_msg=p.name)
+        assert next_packed == next_dense
+
+    @pytest.mark.parametrize("final_only", [True, False])
+    def test_float32_matches_dense_reference(self, final_only):
+        with ad.default_dtype(np.float32):
+            _, (dense, _, next_dense), (packed, _, next_packed) = \
+                self._run_both(2, 2, final_only)
+        assert packed.dtype == np.float32
+        np.testing.assert_allclose(packed, dense, rtol=1e-5, atol=0)
+        assert next_packed == next_dense
 
 
 def _flat(params):

@@ -287,6 +287,72 @@ class TestRunModes:
         assert m.nll == pytest.approx(expected, rel=1e-6)
 
 
+def _left_padded(items, t_max):
+    out = np.zeros(t_max, dtype=np.int64)
+    out[t_max - len(items):] = items
+    return out
+
+
+class TestConfigKnobs:
+    """exclude_seen, gate_hidden_dim and moe_grad_to_experts, reached
+    through the federation's own entry points."""
+
+    def test_exclude_seen_ranks_without_seen_items(self, scenario, monkeypatch):
+        # every row gets the same scores: item 7 first, item 3 second
+        rows = [([5, 7], 3),      # seen item 7 outscores the target
+                ([3, 7], 3),      # the target is in its own prefix and still ranked
+                ([5, 6], 3)]      # unseen item 7 outscores the target
+        prefixes = np.stack([_left_padded(items, 16) for items, _ in rows])
+        targets = np.array([t for _, t in rows])
+        mrr = {}
+        for exclude in (False, True):
+            client = federation.build_client(
+                scenario, "d0", small_config(mode="local_only", exclude_seen=exclude))
+            branch = client.local
+            branch.head_out.tensor.data[:] = 0.0
+            branch.head_out_bias.tensor.data[:] = 0.0
+            branch.head_out_bias.tensor.data[[6, 2]] = [3.0, 2.0]  # items 7 and 3
+            monkeypatch.setattr(client.dataset, "eval_arrays",
+                                lambda split: (prefixes, targets))
+            mrr[exclude] = federation.evaluate_client(client, "test").mrr
+        assert mrr[False] == pytest.approx(100.0 / 2)                    # ranks 2, 2, 2
+        assert mrr[True] == pytest.approx(100.0 * (1 + 1 + 0.5) / 3)    # ranks 1, 1, 2
+
+    def test_hidden_gate_trains_and_mixes(self, scenario):
+        cfg = small_config(gate_hidden_dim=8)
+        before = {d: federation.build_client(scenario, d, cfg).gate.hidden_weight.data.tobytes()
+                  for d in ("d0", "d1", "d2")}
+        res = federation.run(scenario, cfg)
+        for client in res.clients:
+            assert client.gate.hidden_weight.name == "gate.hidden"
+            assert client.gate.hidden_weight.data.tobytes() != before[client.domain_id]
+            prefixes, targets = client.dataset.eval_arrays("test")
+            _, gates, _ = federation._client_scores(client, prefixes, targets)
+            assert gates.shape == (len(targets), 3)
+            np.testing.assert_allclose(gates.sum(axis=1), 1.0, rtol=1e-5)
+
+    def test_expert_gradient_option_reaches_branch_heads(self, scenario):
+        def head_and_gate_grads(flag):
+            client = federation.build_client(scenario, "d0",
+                                             small_config(moe_grad_to_experts=flag))
+            prefixes, targets = client.dataset.train_arrays()
+            rng = np.random.default_rng(0)
+            batch = prefixes[:32]
+            aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
+            with ad.Tape() as tape:
+                total, _ = federation.client_losses(client, batch, aug, targets[:32], rng)
+                ad.backward(total, tape)
+            heads = [b.head_out.tensor.grad.copy() for b in client.branches_in_order()]
+            return heads, client.gate.weight.tensor.grad.copy()
+
+        heads_off, gate_off = head_and_gate_grads(False)
+        heads_on, gate_on = head_and_gate_grads(True)
+        for off, on in zip(heads_off, heads_on):
+            assert np.abs(on - off).max() > 0
+        # the gate's own gradient is the same either way
+        np.testing.assert_array_equal(gate_on, gate_off)
+
+
 class TestDeterminism:
     def test_same_seed_identical_histories(self, scenario):
         cfg = small_config(rounds=2, patience=0)

@@ -5,12 +5,21 @@ Canonical domain file: UTF-8 text, one user per line,
 in time order. A scenario manifest (JSON) lists domain ids and file
 paths. The synthetic generator writes the same format, so generated and
 user-supplied scenarios go through one pipeline.
+
+Set-up works on arrays. The synthetic generator draws its random stream
+with scalar calls, one bounded integer and then one uniform per item: the
+words ``Generator.choice`` consumed, so a seed gives the same scenario
+bytes as in earlier releases. Each split is three read-only arrays
+(``Split``) cut by one fancy index from a padded item matrix, and the
+adjacency's edges come from one ``np.unique`` over integer codes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -30,37 +39,52 @@ class DataConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class SequenceSample:
-    user_id: str
-    prefix: np.ndarray  # length t_max, left-padded with 0
-    target: int
+class Split:
+    """One split's samples as read-only arrays, in user order and, within
+    a user, in position order.
+
+    ``prefixes`` is (n, t_max) int64: row i holds the items before the
+    target, the latest t_max of them, left-padded with 0. ``targets`` is
+    (n,) int64, the item at that position. ``users`` is (n,), the user id
+    of each sample. ``len()`` is the sample count.
+    """
+
+    prefixes: np.ndarray
+    targets: np.ndarray
+    users: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.prefixes, self.targets, self.users):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.targets)
 
 
 @dataclasses.dataclass
 class DomainDataset:
+    """One domain's vocabulary, splits and training-run adjacency.
+
+    Each split is a ``Split`` whose arrays are built once and cannot be
+    written; ``train_arrays`` and ``eval_arrays`` return them, not copies.
+    """
+
     domain_id: str
     num_items: int  # item ids are 1..num_items, 0 is padding
-    train: list[SequenceSample]
-    valid: list[SequenceSample]
-    test: list[SequenceSample]
+    train: Split
+    valid: Split
+    test: Split
     adjacency: sp.csr_matrix  # (num_items + 1)^2, row-normalized, row 0 empty
     item_tokens: dict[str, int] = dataclasses.field(default_factory=dict)
-    _train_arrays: tuple | None = dataclasses.field(default=None, repr=False)
 
     def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (prefixes, targets) for minibatching."""
-        if self._train_arrays is None:
-            self._train_arrays = _stack(self.train)
-        return self._train_arrays
+        """(prefixes, targets) of the training split, for minibatching."""
+        return self.train.prefixes, self.train.targets
 
     def eval_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        return _stack(getattr(self, split))
-
-
-def _stack(samples: list[SequenceSample]) -> tuple[np.ndarray, np.ndarray]:
-    prefixes = np.stack([s.prefix for s in samples]) if samples else np.zeros((0, 1), np.int64)
-    targets = np.array([s.target for s in samples], dtype=np.int64)
-    return prefixes, targets
+        """(prefixes, targets) of ``split``, "valid" or "test"."""
+        s = getattr(self, split)
+        return s.prefixes, s.targets
 
 
 @dataclasses.dataclass
@@ -169,36 +193,50 @@ def withheld_count(n: int, ratio: float = 0.2) -> int:
     return min(n - 1, max(2, round(ratio * n)))
 
 
-def split_user(items: list[int], ratio: float = 0.2) -> tuple[list[int], list[int], list[int]]:
-    """(train positions, valid positions, test positions) as indices into items."""
-    n = len(items)
-    w = withheld_count(n, ratio)
-    withheld = list(range(n - w, n))
-    valid = withheld[0::2]
-    test = withheld[1::2]
-    train = list(range(1, n - w))
-    return train, valid, test
+def split_positions(lengths, ratio: float = 0.2
+                    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(user rows, positions) of the train, valid and test samples of users
+    with these sequence lengths, each in user order then position order.
+
+    A user's last ``withheld_count`` positions alternate into valid
+    (earlier) and test (later); every earlier position with at least one
+    predecessor is a training sample.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    withheld = np.array([withheld_count(int(n), ratio) for n in lengths], dtype=np.int64)
+    first = lengths - withheld
+    return (_runs(np.ones_like(first), first - 1, 1),
+            _runs(first, (withheld + 1) // 2, 2),
+            _runs(first + 1, withheld // 2, 2))
 
 
-def _sample(user: str, items: list[int], pos: int, t_max: int) -> SequenceSample:
-    prefix = items[:pos][-t_max:]
-    padded = np.zeros(t_max, dtype=np.int64)
-    padded[t_max - len(prefix):] = prefix
-    return SequenceSample(user, padded, items[pos])
+def _runs(start: np.ndarray, count: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row r repeated count[r] times, with positions start[r] + step * j."""
+    rows = np.repeat(np.arange(len(count)), count)
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    return rows, np.repeat(start, count) + step * offsets
 
 
 def split_dataset(sequences: list[tuple[str, list[int]]], ratio: float = 0.2,
-                  t_max: int = 16) -> tuple[list[SequenceSample], list[SequenceSample], list[SequenceSample]]:
-    """Latest-share split: the last interactions of each user alternate
-    into validation (earlier) and test (later); every earlier position
-    with at least one predecessor becomes a training sample."""
-    train, valid, test = [], [], []
-    for user, items in sequences:
-        tr, va, te = split_user(items, ratio)
-        train.extend(_sample(user, items, p, t_max) for p in tr)
-        valid.extend(_sample(user, items, p, t_max) for p in va)
-        test.extend(_sample(user, items, p, t_max) for p in te)
-    return train, valid, test
+                  t_max: int = 16) -> tuple[Split, Split, Split]:
+    """Latest-share split (see ``split_positions``) as train, valid and
+    test arrays.
+
+    The items go into one (users, t_max + longest) matrix, row u holding
+    t_max zeros and then user u's items, zero-filled on the right. The
+    prefix of position p is then columns p .. p + t_max - 1 and its target
+    column t_max + p, so each split is one fancy index.
+    """
+    users = np.array([u for u, _ in sequences], dtype=str)
+    lengths = np.array([len(items) for _, items in sequences], dtype=np.int64)
+    longest = int(lengths.max(initial=0))
+    matrix = np.zeros((len(sequences), t_max + longest), dtype=np.int64)
+    rows, pos = _runs(np.full(len(lengths), t_max), lengths, 1)
+    matrix[rows, pos] = np.fromiter(itertools.chain.from_iterable(i for _, i in sequences),
+                                    dtype=np.int64, count=rows.size)
+    window = np.arange(t_max)
+    return tuple(Split(matrix[r[:, None], p[:, None] + window], matrix[r, t_max + p], users[r])
+                 for r, p in split_positions(lengths, ratio))
 
 
 def train_portions(sequences: list[tuple[str, list[int]]], ratio: float = 0.2
@@ -220,19 +258,26 @@ def build_adjacency(train_sequences: list[list[int]], num_items: int) -> sp.csr_
     """Directed next-item transitions from training runs only.
 
     Every item row gets a self loop, then rows are mean-normalized to
-    sum to one. Row and column 0 (padding) stay empty.
+    sum to one. Row and column 0 (padding) stay empty. Within a row the
+    columns run in descending order, the order earlier releases stored,
+    so that sparse products sum in the same order.
     """
     n = num_items + 1
-    edges = {(i, i) for i in range(1, n)}
-    for seq in train_sequences:
-        edges.update(zip(seq, seq[1:]))
-    edge_list = sorted(edges)
-    rows = np.array([e[0] for e in edge_list], dtype=np.int64)
-    cols = np.array([e[1] for e in edge_list], dtype=np.int64)
-    mat = sp.csr_matrix((np.ones(len(edge_list)), (rows, cols)), shape=(n, n))
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    row_sums[row_sums == 0] = 1.0
-    return (sp.diags(1.0 / row_sums) @ mat).tocsr()
+    lengths = [len(seq) for seq in train_sequences]
+    flat = np.fromiter(itertools.chain.from_iterable(train_sequences), dtype=np.int64,
+                       count=sum(lengths))
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    follows = run[1:] == run[:-1]
+    loops = np.arange(1, n)
+    src = np.concatenate([loops, flat[:-1][follows]])
+    dst = np.concatenate([loops, flat[1:][follows]])
+    # one code per edge, ordered by source row and then by descending column
+    codes = np.unique(src * n + (n - 1 - dst))
+    rows = codes // n
+    counts = np.bincount(rows, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    data = 1.0 / counts[rows]
+    return sp.csr_matrix((data, n - 1 - codes % n, indptr), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -240,33 +285,16 @@ def build_adjacency(train_sequences: list[list[int]], num_items: int) -> sp.csr_
 # ---------------------------------------------------------------------------
 
 
-def augment(prefix: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarray:
-    """Shuffle a contiguous window covering a beta share of the real items.
-
-    Padding stays in place and the item multiset is preserved; the
-    window start is uniform over valid offsets.
-    """
-    out = prefix.copy()
-    nonzero = np.flatnonzero(prefix)
-    n = len(nonzero)
-    if n <= 1 or beta <= 0.0:
-        return out
-    window = int(round(beta * n))
-    if window <= 1:
-        return out
-    start = int(rng.integers(0, n - window + 1))
-    idx = nonzero[start:start + window]
-    out[idx] = out[idx][rng.permutation(window)]
-    return out
-
-
 def augment_batch(prefixes: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarray:
-    """augment applied to every row of a (batch, T) matrix.
+    """Shuffle, in each row of a left-padded (batch, T) matrix, a contiguous
+    window covering a beta share of the row's real items.
 
-    The draws are augment's, one integers and one permutation call per
-    shuffled row in row order, so the output and the rng's state match the
-    row-by-row loop; item counts, windows and index sets are computed for
-    the whole batch and the rows written by one fancy-index assignment.
+    Padding stays in place and each row's item multiset is preserved; a
+    row with a window of at most one item is unchanged. The window start
+    is uniform over valid offsets. The draws are one integers and one
+    permutation call per shuffled row, in row order; item counts, windows
+    and index sets are computed for the whole batch and the rows written
+    by one fancy-index assignment.
     """
     out = prefixes.copy()
     if beta <= 0.0:
@@ -376,10 +404,36 @@ def _peaked_chain(rng: np.random.Generator, c: int) -> np.ndarray:
     return q
 
 
+def _choice_cdf(p: np.ndarray) -> list[float]:
+    """The CDF that ``Generator.choice(len(p), p=p)`` searches, after its
+    checks on p."""
+    if np.isnan(p).any():
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, list[str]]]]:
-    """Raw per-domain rows with globally disjoint item tokens."""
+    """Raw per-domain rows with globally disjoint item tokens.
+
+    Draw order: two chains' set-up draws per domain (the shared chain's
+    first), a shuffle of the item clusters, then per user one bounded
+    integer for the length and one for the start cluster, and per item one
+    bounded integer ``integers(size_k)`` picking a member of cluster k
+    followed by one uniform ``random()`` that picks the next cluster from
+    the chain row's CDF. These are exactly the words that
+    ``Generator.choice(members[k])`` and ``choice(c, p=chain[k])`` consume,
+    so scenarios are byte-identical to those of earlier releases, which
+    called ``choice`` per item.
+    """
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
+    integers, uniform = rng.integers, rng.random
     c = spec.num_clusters
     shared = _peaked_chain(rng, c)
     scenario: dict[str, list[tuple[str, list[str]]]] = {}
@@ -387,18 +441,20 @@ def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, lis
         domain_id = f"d{d}"
         private = _peaked_chain(rng, c)
         chain = spec.correlation * shared + (1.0 - spec.correlation) * private
+        cdfs = [_choice_cdf(row) for row in chain]
         clusters = np.arange(spec.items_per_domain) % c
         rng.shuffle(clusters)
-        members = [np.flatnonzero(clusters == k) for k in range(c)]
+        tokens = [f"{domain_id}:i{i}" for i in range(spec.items_per_domain)]
+        members = [[tokens[i] for i in np.flatnonzero(clusters == k)] for k in range(c)]
+        sizes = [len(m) for m in members]
         rows = []
         for u in range(spec.users_per_domain):
-            length = int(rng.integers(spec.min_len, spec.max_len + 1))
-            k = int(rng.integers(c))
+            length = int(integers(spec.min_len, spec.max_len + 1))
+            k = int(integers(c))
             items = []
             for _ in range(length):
-                item = int(rng.choice(members[k]))
-                items.append(f"{domain_id}:i{item}")
-                k = int(rng.choice(c, p=chain[k]))
+                items.append(members[k][integers(sizes[k])])
+                k = bisect_right(cdfs[k], uniform())
             rows.append((f"{domain_id}:u{u}", items))
         scenario[domain_id] = rows
     return scenario

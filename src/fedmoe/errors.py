@@ -19,4 +19,5 @@ class ParseError(ValueError):
 
 
 class EmptyDatasetError(ValueError):
-    """Preprocessing filtered out every user of a domain."""
+    """Preprocessing filtered out every user of a domain, or left a split
+    that a run must evaluate with no samples."""

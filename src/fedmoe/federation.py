@@ -26,7 +26,7 @@ from .autodiff import Tape, Tensor, backward
 from .checkpoint import ExpertCheckpoint, checkpoint_from_params, load_into_params
 from .config import RunConfig
 from .data import DomainDataset, ScenarioSpec, augment_batch
-from .errors import ConfigError
+from .errors import ConfigError, EmptyDatasetError
 from .evaluation import DomainMetrics, MetricsReport, compute_metrics, rank_target
 from .expert import BranchParams, encode_batch, encode_pair, init_branch, init_encoder
 from .expert import contrastive_loss, lookup_table, rec_loss
@@ -453,6 +453,11 @@ def run(scenario: ScenarioSpec, cfg: RunConfig) -> RunResult:
     cfg.validate()
     if cfg.mode == "drop_expert" and cfg.drop_domain not in scenario.domain_ids:
         raise ConfigError(f"drop_domain {cfg.drop_domain!r} is not in the scenario")
+    # every domain is evaluated on valid each round and on test at the end
+    empty = [f"domain {d.domain_id!r} has an empty {split} split" for d in scenario.domains
+             for split in ("valid", "test") if not len(getattr(d, split))]
+    if empty:
+        raise EmptyDatasetError("; ".join(empty))
     dtype = np.float64 if cfg.precision == "float64" else np.float32
     with ad.default_dtype(dtype):
         if cfg.mode == "two_phase":

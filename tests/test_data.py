@@ -1,12 +1,141 @@
-"""Preprocessing, split, adjacency, augmentation, and generator tests."""
+"""Preprocessing, split, adjacency, augmentation, and generator tests.
+
+The per-draw generator, the per-sample split, the set-based adjacency and
+the row-by-row augmentation of earlier releases are kept below as
+reference implementations; the array code must reproduce them exactly.
+"""
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
+
 from fedmoe import data
 from fedmoe.errors import ConfigError, EmptyDatasetError, ParseError
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+
+def reference_raw_sequences(spec):
+    """The generator with one ``choice`` call per draw."""
+    spec.validate()
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
+    c = spec.num_clusters
+    shared = data._peaked_chain(rng, c)
+    scenario = {}
+    for d in range(spec.num_domains):
+        domain_id = f"d{d}"
+        private = data._peaked_chain(rng, c)
+        chain = spec.correlation * shared + (1.0 - spec.correlation) * private
+        clusters = np.arange(spec.items_per_domain) % c
+        rng.shuffle(clusters)
+        members = [np.flatnonzero(clusters == k) for k in range(c)]
+        rows = []
+        for u in range(spec.users_per_domain):
+            length = int(rng.integers(spec.min_len, spec.max_len + 1))
+            k = int(rng.integers(c))
+            items = []
+            for _ in range(length):
+                item = int(rng.choice(members[k]))
+                items.append(f"{domain_id}:i{item}")
+                k = int(rng.choice(c, p=chain[k]))
+            rows.append((f"{domain_id}:u{u}", items))
+        scenario[domain_id] = rows
+    return scenario
+
+
+@dataclasses.dataclass(frozen=True)
+class Sample:
+    user_id: str
+    prefix: np.ndarray  # length t_max, left-padded with 0
+    target: int
+
+
+def reference_sample(user, items, pos, t_max):
+    prefix = items[:pos][-t_max:]
+    padded = np.zeros(t_max, dtype=np.int64)
+    padded[t_max - len(prefix):] = prefix
+    return Sample(user, padded, items[pos])
+
+
+def reference_split_dataset(sequences, ratio=0.2, t_max=16):
+    """One Sample object per sample, positions from a per-user loop."""
+    train, valid, test = [], [], []
+    for user, items in sequences:
+        n = len(items)
+        w = data.withheld_count(n, ratio)
+        withheld = list(range(n - w, n))
+        train.extend(reference_sample(user, items, p, t_max) for p in range(1, n - w))
+        valid.extend(reference_sample(user, items, p, t_max) for p in withheld[0::2])
+        test.extend(reference_sample(user, items, p, t_max) for p in withheld[1::2])
+    return train, valid, test
+
+
+def reference_build_adjacency(train_sequences, num_items):
+    """Edges gathered in a Python set, normalized by a diagonal product."""
+    n = num_items + 1
+    edges = {(i, i) for i in range(1, n)}
+    for seq in train_sequences:
+        edges.update(zip(seq, seq[1:]))
+    edge_list = sorted(edges)
+    rows = np.array([e[0] for e in edge_list], dtype=np.int64)
+    cols = np.array([e[1] for e in edge_list], dtype=np.int64)
+    mat = sp.csr_matrix((np.ones(len(edge_list)), (rows, cols)), shape=(n, n))
+    row_sums = np.asarray(mat.sum(axis=1)).ravel()
+    row_sums[row_sums == 0] = 1.0
+    return (sp.diags(1.0 / row_sums) @ mat).tocsr()
+
+
+def augment(prefix, beta, rng):
+    """augment_batch's reference: one row at a time."""
+    out = prefix.copy()
+    nonzero = np.flatnonzero(prefix)
+    n = len(nonzero)
+    if n <= 1 or beta <= 0.0:
+        return out
+    window = int(round(beta * n))
+    if window <= 1:
+        return out
+    start = int(rng.integers(0, n - window + 1))
+    idx = nonzero[start:start + window]
+    out[idx] = out[idx][rng.permutation(window)]
+    return out
+
+
+def augment_row(prefix, beta, rng):
+    return data.augment_batch(prefix[None, :], beta, rng)[0]
+
+
+def positions_of(n, ratio=0.2):
+    """(train, valid, test) positions of one user with n interactions."""
+    return tuple(pos.tolist() for _, pos in data.split_positions([n], ratio))
+
+
+def assert_split_matches(split, samples, t_max):
+    assert len(split) == len(samples)
+    expected = (np.stack([s.prefix for s in samples]) if samples
+                else np.zeros((0, t_max), np.int64))
+    np.testing.assert_array_equal(split.prefixes, expected)
+    assert split.prefixes.shape == (len(samples), t_max)
+    assert split.prefixes.dtype == split.targets.dtype == np.int64
+    np.testing.assert_array_equal(split.targets, [s.target for s in samples])
+    assert split.users.tolist() == [s.user_id for s in samples]
+
+
+def assert_same_csr(a, b):
+    for field in ("indptr", "indices", "data"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype, field
+        np.testing.assert_array_equal(x, y, err_msg=field)
+    assert a.shape == b.shape and type(a) is type(b)
 
 
 def write_lines(tmp_path, lines, name="dom.txt"):
@@ -66,18 +195,28 @@ class TestFiltering:
         p = write_lines(tmp_path, ["u1\ta b c", "u2\tb c a"])
         ds = data.load_domain(p, data.DataConfig(apply_filters=False))
         assert ds.num_items == 3
-        assert {s.user_id for s in ds.train + ds.valid + ds.test} == {"u1", "u2"}
+        users = np.concatenate([ds.train.users, ds.valid.users, ds.test.users])
+        assert set(users.tolist()) == {"u1", "u2"}
+
+    def test_empty_split_keeps_the_window_width(self, tmp_path):
+        # two interactions per user: one valid target each, nothing else
+        p = write_lines(tmp_path, ["u1\ta b", "u2\tb a"])
+        ds = data.load_domain(p, data.DataConfig(apply_filters=False, t_max=7))
+        assert len(ds.train) == len(ds.test) == 0 and len(ds.valid) == 2
+        for split in (ds.train, ds.test):
+            assert split.prefixes.shape == (0, 7) and split.targets.shape == (0,)
+            assert split.users.shape == (0,)
 
 
 class TestSplit:
     def test_ten_interaction_user(self):
-        train, valid, test = data.split_user(list(range(1, 11)))
+        train, valid, test = positions_of(10)
         assert len(train) == 7  # 8 training interactions, 7 have a predecessor
         assert len(valid) == 1 and len(test) == 1
         assert valid[0] == 8 and test[0] == 9  # earlier withheld goes to valid
 
     def test_minimum_length_user_keeps_both_eval_targets(self):
-        train, valid, test = data.split_user([5, 6, 7, 8])
+        train, valid, test = positions_of(4)
         assert len(valid) == 1 and len(test) == 1
         assert len(train) == 1
 
@@ -88,22 +227,24 @@ class TestSplit:
             for i in range(200)
         ]
         for _, items in sequences:
-            tr, va, te = data.split_user(items)
+            tr, va, te = positions_of(len(items))
             combined = sorted(tr + va + te)
             assert combined == list(range(1, len(items)))  # every position once
             assert not (set(tr) & set(va)) and not (set(va) & set(te))
 
     def test_samples_are_left_padded(self):
-        samples, _, _ = data.split_dataset([("u", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12])], t_max=16)
-        first = samples[0]
-        assert first.prefix.shape == (16,)
-        assert first.prefix[-1] == 3 and first.prefix[:-1].sum() == 0
-        assert first.target == 4
+        train, _, _ = data.split_dataset([("u", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12])], t_max=16)
+        first = train.prefixes[0]
+        assert first.shape == (16,)
+        assert first[-1] == 3 and first[:-1].sum() == 0
+        assert train.targets[0] == 4
 
     def test_prefix_truncated_to_window(self):
         items = list(range(1, 30))
-        s = data._sample("u", items, 25, t_max=8)
-        assert list(s.prefix) == items[17:25]
+        # 29 items withhold 6: valid positions 23, 25, 27 and test 24, 26, 28
+        _, valid, _ = data.split_dataset([("u", items)], t_max=8)
+        assert list(valid.prefixes[1]) == items[17:25]
+        assert valid.targets[1] == items[25]
 
 
 class TestAdjacency:
@@ -145,19 +286,19 @@ class TestAdjacency:
 class TestAugment:
     def test_single_item_unchanged(self):
         prefix = np.array([0, 0, 0, 7])
-        out = data.augment(prefix, 0.6, np.random.default_rng(0))
+        out = augment_row(prefix, 0.6, np.random.default_rng(0))
         np.testing.assert_array_equal(out, prefix)
 
     def test_beta_zero_identity(self):
         prefix = np.array([0, 1, 2, 3, 4, 5])
-        out = data.augment(prefix, 0.0, np.random.default_rng(0))
+        out = augment_row(prefix, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, prefix)
 
     def test_window_multiset_preserved_over_seeds(self):
         prefix = np.array([0, 0, 0, 1, 2, 3, 4, 5])
         outside_window_moves = 0
         for seed in range(1000):
-            out = data.augment(prefix, 0.6, np.random.default_rng(seed))
+            out = augment_row(prefix, 0.6, np.random.default_rng(seed))
             assert sorted(out[-5:]) == [1, 2, 3, 4, 5]  # multiset preserved
             np.testing.assert_array_equal(out[:3], 0)   # padding untouched
             # window is 3 of 5 items: at least 2 items always keep position
@@ -172,7 +313,7 @@ class TestAugment:
         t_max = 16
         prefix = np.zeros(t_max, dtype=np.int64)
         prefix[t_max - len(items):] = items
-        out = data.augment(prefix, beta, np.random.default_rng(seed))
+        out = augment_row(prefix, beta, np.random.default_rng(seed))
         assert sorted(out.tolist()) == sorted(prefix.tolist())
         np.testing.assert_array_equal(out[:t_max - len(items)], 0)
 
@@ -185,7 +326,7 @@ class TestAugment:
         for row, n in zip(prefixes, gen.integers(0, t_max + 1, size=b)):
             row[t_max - n:] = gen.integers(1, 50, size=n)
         ref_rng, rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        expected = np.stack([data.augment(row, beta, ref_rng) for row in prefixes])
+        expected = np.stack([augment(row, beta, ref_rng) for row in prefixes])
         np.testing.assert_array_equal(data.augment_batch(prefixes, beta, rng), expected)
         assert rng.random() == ref_rng.random()
 
@@ -208,7 +349,7 @@ class TestSynthetic:
         assert len(scenario.domains) == 3
         for ds in scenario.domains:
             assert ds.num_items == 50
-            users = {s.user_id for s in ds.train}
+            users = set(ds.train.users.tolist())
             assert len(users) == 200
 
     def test_vocabularies_disjoint(self):
@@ -252,3 +393,145 @@ def test_domain_seed_keyed_rng_streams_reproducible():
     c = data.generate_raw_sequences(data.SyntheticSpec(users_per_domain=20, seed=2))
     assert a == b
     assert a != c
+
+
+# ---------------------------------------------------------------------------
+# the array code against the reference implementations
+# ---------------------------------------------------------------------------
+
+EQUALITY_SPECS = {
+    "correlation 0": data.SyntheticSpec(num_domains=2, items_per_domain=40, users_per_domain=60,
+                                        correlation=0.0, seed=21),
+    "correlation 0.5": data.SyntheticSpec(num_domains=3, items_per_domain=40,
+                                          users_per_domain=60, correlation=0.5, seed=22),
+    "correlation 1": data.SyntheticSpec(num_domains=2, items_per_domain=40, users_per_domain=60,
+                                        correlation=1.0, seed=23),
+    # 60 items over 8 clusters: four clusters of 8 members, four of 7
+    "60 items, 8 clusters": data.SyntheticSpec(num_domains=2, items_per_domain=60,
+                                               users_per_domain=80, num_clusters=8,
+                                               correlation=0.7, seed=24),
+    "min_len == max_len": data.SyntheticSpec(num_domains=2, items_per_domain=30,
+                                             users_per_domain=50, min_len=6, max_len=6,
+                                             num_clusters=3, seed=25),
+    "one-member clusters": data.SyntheticSpec(num_domains=2, items_per_domain=9,
+                                              users_per_domain=30, min_len=2, max_len=9,
+                                              num_clusters=5, correlation=0.3, seed=26),
+}
+
+# (t_max, eval_ratio, apply_filters); t_max 5 is shorter than every history
+SPLIT_CONFIGS = [(16, 0.2, False), (5, 0.2, False), (16, 0.35, False), (5, 0.35, True)]
+
+
+@pytest.fixture
+def made_generators(monkeypatch):
+    """Every Generator that np.random.default_rng makes, in order."""
+    made = []
+    real = np.random.default_rng
+
+    def default_rng(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("name", sorted(EQUALITY_SPECS))
+    def test_generator_draws_the_choice_stream(self, name, made_generators):
+        spec = EQUALITY_SPECS[name]
+        expected = reference_raw_sequences(spec)
+        got = data.generate_raw_sequences(spec)
+        ref_rng, rng = made_generators
+        assert got == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
+        assert rng.integers(1 << 40) == ref_rng.integers(1 << 40)
+
+    @pytest.mark.parametrize("t_max, ratio, filters", SPLIT_CONFIGS)
+    @pytest.mark.parametrize("name", sorted(EQUALITY_SPECS))
+    def test_splits_and_adjacency_match(self, name, t_max, ratio, filters):
+        cfg = data.DataConfig(t_max=t_max, eval_ratio=ratio, apply_filters=filters,
+                              min_interactions=2, min_len=2)
+        for domain_id, rows in data.generate_raw_sequences(EQUALITY_SPECS[name]).items():
+            if filters:
+                rows = data.filter_sequences(rows, cfg)
+            remapped, mapping = data.remap_items(rows)
+            ds = data.build_domain_dataset(domain_id, rows, cfg)
+            for split, samples in zip((ds.train, ds.valid, ds.test),
+                                      reference_split_dataset(remapped, ratio, t_max)):
+                assert_split_matches(split, samples, t_max)
+            expected = reference_build_adjacency(
+                data.train_portions(remapped, ratio), len(mapping))
+            assert_same_csr(ds.adjacency, expected)
+
+    def test_split_of_uneven_users(self):
+        # lengths 1 and 2 give empty splits; long users are cut to t_max
+        sequences = [(f"u{n}", list(range(1, n + 1))) for n in (1, 2, 3, 4, 9, 20, 31)]
+        for t_max in (1, 4, 16):
+            got = data.split_dataset(sequences, 0.3, t_max)
+            for split, samples in zip(got, reference_split_dataset(sequences, 0.3, t_max)):
+                assert_split_matches(split, samples, t_max)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_adjacency_of_random_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        seqs = [list(rng.integers(1, 31, size=rng.integers(0, 12))) for _ in range(40)]
+        assert_same_csr(data.build_adjacency(seqs, 30), reference_build_adjacency(seqs, 30))
+
+    def test_adjacency_without_runs(self):
+        assert_same_csr(data.build_adjacency([], 4), reference_build_adjacency([], 4))
+
+    def test_bad_chain_row_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            data._choice_cdf(np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match="non-negative"):
+            data._choice_cdf(np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            data._choice_cdf(np.array([0.5, 0.4]))
+        assert data._choice_cdf(np.array([0.25, 0.75])) == [0.25, 1.0]
+
+
+# SHA-256 over each written file's name and bytes, in name order, as the
+# per-draw generator wrote them
+WRITTEN_SCENARIO_SHA256 = [
+    (data.SyntheticSpec(items_per_domain=30, users_per_domain=60, seed=9),
+     "4fcccceaad67b0ec9270894d0c6fa49b3c14c9b2feaf60343ffa7de5e0c6d705"),
+    (data.SyntheticSpec(num_domains=2, items_per_domain=60, users_per_domain=40, min_len=3,
+                        max_len=20, num_clusters=8, correlation=0.5, seed=3),
+     "cadf3b1c0cca6cf7682d43d5011b6e6cf6abe5bf49444cec85f27ebe88b57743"),
+    (data.SyntheticSpec(num_domains=4, items_per_domain=17, users_per_domain=25, min_len=5,
+                        max_len=5, num_clusters=3, correlation=0.0, seed=12345),
+     "d8df2d4fbd3b663bf71176a1211af36f8161b0d8ae89a72a1d012587ac0e5404"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", WRITTEN_SCENARIO_SHA256)
+def test_written_scenario_bytes_pinned(tmp_path, spec, digest):
+    data.write_scenario(spec, tmp_path)
+    h = hashlib.sha256()
+    for f in sorted(tmp_path.iterdir()):
+        h.update(f.name.encode() + b"\0" + f.read_bytes())
+    assert h.hexdigest() == digest
+
+
+class TestSplitArrays:
+    @pytest.fixture
+    def ds(self):
+        return data.generate_synthetic(
+            data.SyntheticSpec(items_per_domain=30, users_per_domain=60, seed=9)).domains[0]
+
+    def test_split_arrays_are_read_only(self, ds):
+        for split in (ds.train, ds.valid, ds.test):
+            for name in ("prefixes", "targets", "users"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(split, name)[0] = getattr(split, name)[-1]
+
+    def test_accessors_return_the_stored_arrays(self, ds):
+        prefixes, targets = ds.train_arrays()
+        assert prefixes is ds.train.prefixes and targets is ds.train.targets
+        for name in ("valid", "test"):
+            prefixes, targets = ds.eval_arrays(name)
+            assert prefixes is getattr(ds, name).prefixes
+            assert targets is getattr(ds, name).targets
+            assert ds.eval_arrays(name)[0] is prefixes

@@ -9,7 +9,7 @@ from fedmoe import autodiff as ad
 from fedmoe import data, expert, federation
 from fedmoe.checkpoint import ExpertCheckpoint
 from fedmoe.config import RunConfig
-from fedmoe.errors import ConfigError
+from fedmoe.errors import ConfigError, EmptyDatasetError
 
 
 @pytest.fixture(scope="module")
@@ -378,3 +378,40 @@ class TestDeterminism:
         seq = federation.run(scenario, cfg)
         par = federation.run(scenario, dataclasses.replace(cfg, parallel_clients=True))
         assert seq.cache.shared == par.cache.shared
+
+
+class TestSplitChecks:
+    def test_empty_evaluation_split_fails_before_training(self, monkeypatch):
+        no_filters = data.DataConfig(apply_filters=False)
+        full = [(f"a{u}", [f"x{(u + j) % 5}" for j in range(8)]) for u in range(6)]
+        two = [(f"b{u}", [f"y{u % 3}", f"y{(u + 1) % 3}"]) for u in range(4)]  # valid only
+        one = [(f"c{u}", [f"z{u % 2}"]) for u in range(3)]                       # nothing
+        scenario = data.ScenarioSpec([data.build_domain_dataset("d0", full, no_filters),
+                                      data.build_domain_dataset("d1", two, no_filters),
+                                      data.build_domain_dataset("d2", one, no_filters)], seed=0)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the splits were checked")
+
+        monkeypatch.setattr(federation, "client_update", no_training)
+        for mode in ("fmoe", "fedavg", "two_phase"):
+            with pytest.raises(EmptyDatasetError) as err:
+                federation.run(scenario, small_config(mode=mode))
+            assert str(err.value) == (
+                "domain 'd1' has an empty test split; domain 'd2' has an empty valid split; "
+                "domain 'd2' has an empty test split")
+
+    def test_run_and_evaluation_leave_split_arrays_unchanged(self, scenario):
+        before = {(d.domain_id, name): tuple(a.copy() for a in
+                                             (s.prefixes, s.targets, s.users))
+                  for d in scenario.domains
+                  for name, s in (("train", d.train), ("valid", d.valid), ("test", d.test))}
+        res = federation.run(scenario, small_config(rounds=2, exclude_seen=True))
+        federation.evaluate_all(res.clients, "valid", 0, "fmoe")
+        for d in scenario.domains:
+            for name in ("train", "valid", "test"):
+                s = getattr(d, name)
+                for want, got in zip(before[d.domain_id, name],
+                                     (s.prefixes, s.targets, s.users)):
+                    assert not got.flags.writeable
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

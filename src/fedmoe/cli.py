@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import federation
 from .checkpoint import ExpertCheckpoint
-from .config import MODES, SYNTHETIC_PRESETS, RunConfig
+from .config import MODE_POLICIES, MODES, SYNTHETIC_PRESETS, RunConfig
 from .data import ScenarioSpec, SyntheticSpec, generate_synthetic, load_scenario, write_scenario
 from .errors import ConfigError, EmptyDatasetError, ParseError
 from .evaluation import MetricsReport, render_table
@@ -203,7 +203,9 @@ def cmd_generate_data(args: argparse.Namespace) -> int:
     return 0
 
 
-ABLATIONS = ("gate", "freeze", "drop", "local", "fedavg")
+# grid item -> the mode it runs beside fmoe
+ABLATIONS = {"gate": "no_gate", "freeze": "no_freeze", "drop": "drop_expert",
+             "local": "local_only", "fedavg": "fedavg"}
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
@@ -227,19 +229,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         print(render_table([report], sorted(report.per_domain)))
         return report
 
-    run_variant(cfg.mode if cfg.mode != "drop_expert" else "fmoe", "fmoe")
-    for item in grid:
-        if item == "gate":
-            run_variant("no_gate", "no_gate")
-        elif item == "freeze":
-            run_variant("no_freeze", "no_freeze")
-        elif item == "local":
-            run_variant("local_only", "local_only")
-        elif item == "fedavg":
-            run_variant("fedavg", "fedavg")
-        elif item == "drop":
+    run_variant("fmoe", "fmoe")
+    for mode in (ABLATIONS[item] for item in grid):
+        if MODE_POLICIES[mode].drops_domain:
             for dom in sorted(scenario.domain_ids):
-                run_variant("drop_expert", f"drop[{dom}]", drop_domain=dom)
+                run_variant(mode, f"drop[{dom}]", drop_domain=dom)
+        else:
+            run_variant(mode, mode)
     for epochs in quality:
         run_variant("two_phase", f"two_phase[{epochs}]", pretrain_epochs=epochs)
 

@@ -14,8 +14,33 @@ from .data import DataConfig, SyntheticSpec
 from .errors import ConfigError
 from .expert import ModelConfig
 
-MODES = ("fmoe", "local_only", "fedavg", "no_gate", "no_freeze",
-         "drop_expert", "two_phase")
+
+@dataclasses.dataclass(frozen=True)
+class ModePolicy:
+    """How one mode runs the federated protocol.
+
+    sync says when downloaded encoders arrive: "round" every round from
+    the server cache, "once" after independent pretraining, "shared" as
+    the FedAvg mean loaded into the local encoder, or "never".
+    """
+
+    global_branches: bool  # other domains' encoders run as extra experts
+    gate: bool             # a learned gate; without one the experts mix uniformly
+    frozen: bool           # downloaded encoders stay frozen
+    sync: str
+    drops_domain: bool     # drop_domain removes that expert from the other domains
+
+
+MODE_POLICIES = {
+    "fmoe": ModePolicy(True, True, True, "round", False),
+    "local_only": ModePolicy(False, False, True, "never", False),
+    "fedavg": ModePolicy(False, False, True, "shared", False),
+    "no_gate": ModePolicy(True, False, True, "round", False),
+    "no_freeze": ModePolicy(True, True, False, "round", False),
+    "drop_expert": ModePolicy(True, True, True, "round", True),
+    "two_phase": ModePolicy(True, True, True, "once", False),
+}
+MODES = tuple(MODE_POLICIES)
 
 SYNTHETIC_PRESETS = {
     "default": SyntheticSpec(num_domains=3, items_per_domain=200,
@@ -77,8 +102,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode == "drop_expert" and not self.drop_domain:
-            raise ConfigError("drop_expert mode needs drop_domain")
+        if self.policy.drops_domain and not self.drop_domain:
+            raise ConfigError(f"{self.mode} mode needs drop_domain")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"unknown precision {self.precision!r}")
         for name, lo in (("rounds", 1), ("local_epochs", 1), ("batch_size", 1),
@@ -100,6 +125,10 @@ class RunConfig:
             raise ConfigError("temperature must be positive")
         if not 0.0 < self.eval_ratio < 1.0:
             raise ConfigError("eval_ratio must lie in (0, 1)")
+
+    @property
+    def policy(self) -> ModePolicy:
+        return MODE_POLICIES[self.mode]
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(width=self.width, blocks=self.blocks, heads=self.heads,

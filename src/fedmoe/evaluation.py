@@ -21,9 +21,6 @@ class DomainMetrics:
     nll: float | None = None  # mean -log probability of the target under the scores
     branch_nll: tuple[float, ...] | None = None  # the same for each expert alone, local first
 
-    def as_tuple(self):
-        return (self.mrr, self.hr_at_10, self.ndcg_at_10)
-
 
 @dataclasses.dataclass(frozen=True)
 class MetricsReport:

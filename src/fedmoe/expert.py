@@ -122,12 +122,6 @@ class BranchParams:
         return [p for p in self.parameters() if p not in self.encoder.parameters()]
 
 
-@dataclasses.dataclass
-class EncodedSequence:
-    z: Tensor  # final-position representation, shape (d,)
-    o: Tensor  # next-item logits, shape (num_items,)
-
-
 def init_encoder(rng: np.random.Generator, cfg: ModelConfig) -> ExpertEncoderParams:
     d, f = cfg.width, cfg.width * cfg.ff_mult
     if d % cfg.heads:
@@ -343,10 +337,14 @@ def encode_batch(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     and logits over the domain catalog (index i is item i + 1).
     """
     z = _forward_states(branch, norm_adjacency, prefixes, train, rng, table, final_only=True)
+    return z, _head(branch, z)
+
+
+def _head(branch: BranchParams, z: Tensor) -> Tensor:
+    """Next-item logits (batch, num_items) from final-position representations."""
     hidden = ad.gelu(ad.add(ad.matmul(z, branch.head_hidden.tensor),
                             branch.head_hidden_bias.tensor))
-    logits = ad.add(ad.matmul(hidden, branch.head_out.tensor), branch.head_out_bias.tensor)
-    return z, logits
+    return ad.add(ad.matmul(hidden, branch.head_out.tensor), branch.head_out_bias.tensor)
 
 
 def _split_heads(x: Tensor, heads: int, dh: int) -> Tensor:
@@ -371,22 +369,7 @@ def encode_pair(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     z_all = _forward_states(branch, norm_adjacency, stacked, train, rng, table, final_only=True)
     z = ad.slice_rows(z_all, 0, b)
     z_aug = ad.slice_rows(z_all, b, 2 * b)
-    hidden = ad.gelu(ad.add(ad.matmul(z, branch.head_hidden.tensor),
-                            branch.head_hidden_bias.tensor))
-    logits = ad.add(ad.matmul(hidden, branch.head_out.tensor), branch.head_out_bias.tensor)
-    return z, z_aug, logits
-
-
-def encode(prefix: np.ndarray, branch: BranchParams, norm_adjacency,
-           train: bool = False, rng: np.random.Generator | None = None) -> EncodedSequence:
-    """Single-sample convenience wrapper around encode_batch."""
-    prefix = np.asarray(prefix, dtype=np.int64)
-    z, logits = encode_batch(branch, norm_adjacency, prefix[None, :], train=train, rng=rng)
-    z = ad.reshape(z, (branch.cfg.width,))
-    logits = ad.reshape(logits, (logits.data.shape[-1],))
-    if not (np.isfinite(z.data).all() and np.isfinite(logits.data).all()):
-        raise FloatingPointError("encode produced non-finite values")
-    return EncodedSequence(z=z, o=logits)
+    return z, z_aug, _head(branch, z)
 
 
 def rec_loss(logits: Tensor, target_items) -> Tensor:

@@ -9,7 +9,8 @@ round may run sequentially or on a thread pool with identical results.
 
 Variants: local-only training, FedAvg with a single shared encoder,
 uniform (no-gate) fusion, unfrozen global encoders, expert removal, and
-a two-phase schedule with exactly one synchronization.
+a two-phase schedule with exactly one synchronization. Every mode runs
+the same round loop; ``config.MODE_POLICIES`` says what differs.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ logger = logging.getLogger(__name__)
 
 # seed-stream tags so distinct purposes never share a stream
 _TAG_INIT, _TAG_ROUND, _TAG_PRETRAIN, _TAG_SERVER = 11, 23, 37, 53
-
-GATED_MODES = ("fmoe", "no_freeze", "drop_expert", "two_phase")
-GLOBAL_MODES = GATED_MODES + ("no_gate",)
 
 
 class ServerCache:
@@ -123,8 +121,8 @@ class ClientState:
 
     def sync(self, snapshot: dict[str, ExpertCheckpoint]) -> None:
         """Download the other domains' encoders; they arrive frozen unless
-        the run trains them deliberately (no_freeze)."""
-        trainable = self.cfg.mode == "no_freeze"
+        the mode trains them deliberately."""
+        trainable = not self.cfg.policy.frozen
         for dom, branch in self.global_branches.items():
             if dom not in snapshot:
                 raise ConfigError(f"server cache is missing domain {dom!r}")
@@ -160,22 +158,6 @@ class ClientState:
         return groups
 
 
-def drop_expert(client: ClientState, domain_id: str) -> None:
-    """Remove one synchronized expert from a client's branch set."""
-    if domain_id == client.domain_id:
-        raise ConfigError(f"cannot drop {domain_id!r} from its own domain")
-    if domain_id not in client.global_branches:
-        return
-    del client.global_branches[domain_id]
-    if client.gate is not None:
-        client.gate = init_gate(1 + len(client.global_branches), client.cfg.width,
-                                client.cfg.gate_hidden_dim,
-                                client.round_rng(_TAG_INIT, 1))
-        client.optimizer = Adam(client.all_parameters(), lr=client.cfg.learning_rate,
-                                beta1=client.cfg.adam_beta1, beta2=client.cfg.adam_beta2,
-                                eps=client.cfg.adam_eps)
-
-
 def build_client(scenario: ScenarioSpec, domain_id: str, cfg: RunConfig) -> ClientState:
     ids = sorted(scenario.domain_ids)
     domain_index = ids.index(domain_id)
@@ -184,20 +166,21 @@ def build_client(scenario: ScenarioSpec, domain_id: str, cfg: RunConfig) -> Clie
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, domain_index, _TAG_INIT, 0]))
 
+    policy = cfg.policy
     local = init_branch(rng, dataset.num_items, model_cfg)
     global_branches: dict[str, BranchParams] = {}
-    if cfg.mode in GLOBAL_MODES:
+    if policy.global_branches:
         # dropping an expert removes it from every *other* domain's branch
         # set; the dropped domain itself keeps its full set
         for other in ids:
             if other == domain_id or other == cfg.drop_domain:
                 continue
             branch = init_branch(rng, dataset.num_items, model_cfg)
-            branch.encoder.set_trainable(cfg.mode == "no_freeze")
+            branch.encoder.set_trainable(not policy.frozen)
             global_branches[other] = branch
 
     gate = None
-    if cfg.mode in GATED_MODES:
+    if policy.gate:
         gate = init_gate(1 + len(global_branches), cfg.width,
                          cfg.gate_hidden_dim, rng)
 
@@ -217,16 +200,19 @@ def build_client(scenario: ScenarioSpec, domain_id: str, cfg: RunConfig) -> Clie
 
 def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.ndarray,
                   targets: np.ndarray, rng: np.random.Generator | None,
-                  train: bool = True) -> tuple[Tensor, dict[str, float]]:
+                  train: bool = True, local_only: bool = False
+                  ) -> tuple[Tensor, dict[str, float]]:
     """Weighted total of every branch objective plus the fusion objective.
 
     Components: next-item and contrastive losses for the local branch and
     each global branch, then the gated-mixture loss (2D + 1 terms for D
-    visible experts).
+    visible experts). With local_only, or with no global branches, the
+    local branch trains alone and nothing is fused.
     """
     cfg = client.cfg
     adj = client.dataset.adjacency
-    order = client.expert_order()
+    order = client.expert_order()[:1] if local_only else client.expert_order()
+    mixed = len(order) > 1
     z_list, prob_list = [], []
     total = None
     components: dict[str, float] = {}
@@ -242,10 +228,11 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
         components[f"con:{tag}"] = float(con.data)
         term = ad.add(ad.scale(rec, cfg.rec_weight), ad.scale(con, cfg.con_weight))
         total = term if total is None else ad.add(total, term)
-        z_list.append(z)
-        prob_list.append(ad.softmax(logits, axis=-1))
+        if mixed:
+            z_list.append(z)
+            prob_list.append(ad.softmax(logits, axis=-1))
 
-    if len(order) > 1:
+    if mixed:
         if client.gate is not None:
             weights = gate_forward(z_list, client.gate)
         else:
@@ -277,12 +264,8 @@ def client_update(client: ClientState, snapshot: dict[str, ExpertCheckpoint] | N
             aug = augment_batch(batch, cfg.shuffle_ratio, rng)
             client.optimizer.zero_grad()
             with Tape() as tape:
-                if local_only:
-                    total, components = _local_branch_losses(client, batch, aug,
-                                                             targets[idx], rng)
-                else:
-                    total, components = client_losses(client, batch, aug,
-                                                      targets[idx], rng)
+                total, components = client_losses(client, batch, aug, targets[idx], rng,
+                                                  local_only=local_only)
                 backward(total, tape)
             # checked before the step so a bad batch leaves the parameters intact
             if not np.isfinite(total.data):
@@ -290,18 +273,6 @@ def client_update(client: ClientState, snapshot: dict[str, ExpertCheckpoint] | N
                     f"non-finite loss in domain {client.domain_id}: {components}")
             client.optimizer.step()
     return client.local_encoder_checkpoint()
-
-
-def _local_branch_losses(client, prefixes, aug_prefixes, targets, rng):
-    cfg = client.cfg
-    adj = client.dataset.adjacency
-    table = lookup_table(client.local, adj)
-    z, z_aug, logits = encode_pair(client.local, adj, prefixes, aug_prefixes,
-                                   train=True, rng=rng, table=table)
-    rec = rec_loss(logits, targets)
-    con = contrastive_loss(z, z_aug, cfg.temperature)
-    total = ad.add(ad.scale(rec, cfg.rec_weight), ad.scale(con, cfg.con_weight))
-    return total, {"rec:local": float(rec.data), "con:local": float(con.data)}
 
 
 def fedavg_aggregate(checkpoints: list[ExpertCheckpoint]) -> ExpertCheckpoint:
@@ -397,7 +368,7 @@ def evaluate_all(clients: list[ClientState], split: str, round_index: int,
 
 
 # ---------------------------------------------------------------------------
-# round loops
+# round loop
 # ---------------------------------------------------------------------------
 
 
@@ -411,47 +382,52 @@ class RunResult:
     clients: list[ClientState]
 
 
-def _run_updates(clients, snapshot, round_index, cfg, **kwargs):
+def _run_updates(clients, snapshot, round_index, cfg):
     if cfg.parallel_clients:
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(clients)) as pool:
-            futures = {c.domain_id: pool.submit(client_update, c, snapshot,
-                                                round_index, **kwargs)
+            futures = {c.domain_id: pool.submit(client_update, c, snapshot, round_index)
                        for c in clients}
             return {dom: fut.result() for dom, fut in futures.items()}
-    return {c.domain_id: client_update(c, snapshot, round_index, **kwargs)
-            for c in clients}
+    return {c.domain_id: client_update(c, snapshot, round_index) for c in clients}
 
 
-def _early_stop_loop(clients, cfg, mode, round_fn):
-    """Shared round loop with early stopping on average validation MRR."""
-    history: list[MetricsReport] = []
-    best_mrr, best_round, stale = -np.inf, -1, 0
-    best_states = None
-    for t in range(cfg.rounds):
-        round_fn(t)
-        report = evaluate_all(clients, "valid", t, mode)
-        history.append(report)
-        logger.info("round %d [%s] avg valid MRR %.3f", t, mode, report.avg.mrr)
-        if report.avg.mrr > best_mrr:
-            best_mrr, best_round, stale = report.avg.mrr, t, 0
-            best_states = [c.snapshot_parameters() for c in clients]
-        else:
-            stale += 1
-            if stale >= cfg.patience > 0:
-                logger.info("early stop after round %d (no improvement for %d rounds)",
-                            t, stale)
-                break
-    if best_states is not None:
-        for client, state in zip(clients, best_states):
-            client.restore_parameters(state)
-    return history, best_round
+def _seed_cache(clients: list[ClientState], cfg: RunConfig) -> ServerCache:
+    """The server cache before round 0.
+
+    FedAvg starts from a server-initialized shared encoder. The two-phase
+    schedule trains every local branch alone, uploads it at round 0 and
+    synchronizes once. Every other mode seeds the cache with the initial
+    encoders at round -1.
+    """
+    cache = ServerCache()
+    sync = cfg.policy.sync
+    if sync == "shared":
+        server_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_SERVER]))
+        cache.shared = checkpoint_from_params(
+            init_encoder(server_rng, cfg.model_config()).parameters())
+    elif sync == "once":
+        for c in clients:
+            if cfg.pretrain_epochs:
+                client_update(c, None, 0, local_epochs=cfg.pretrain_epochs,
+                              local_only=True, rng_tag=_TAG_PRETRAIN)
+            cache.put(c.domain_id, c.local_encoder_checkpoint())
+        snapshot = cache.snapshot()
+        for c in clients:
+            c.sync(snapshot)
+    else:
+        cache.round_index = -1
+        for c in clients:
+            cache.put(c.domain_id, c.local_encoder_checkpoint())
+    return cache
 
 
 def run(scenario: ScenarioSpec, cfg: RunConfig) -> RunResult:
     """Train under the configured mode and return history plus the test
-    report at the best validation round."""
+    report at the best validation round (early stopping on average
+    validation MRR)."""
     cfg.validate()
-    if cfg.mode == "drop_expert" and cfg.drop_domain not in scenario.domain_ids:
+    policy = cfg.policy
+    if policy.drops_domain and cfg.drop_domain not in scenario.domain_ids:
         raise ConfigError(f"drop_domain {cfg.drop_domain!r} is not in the scenario")
     # every domain is evaluated on valid each round and on test at the end
     empty = [f"domain {d.domain_id!r} has an empty {split} split" for d in scenario.domains
@@ -460,75 +436,39 @@ def run(scenario: ScenarioSpec, cfg: RunConfig) -> RunResult:
         raise EmptyDatasetError("; ".join(empty))
     dtype = np.float64 if cfg.precision == "float64" else np.float32
     with ad.default_dtype(dtype):
-        if cfg.mode == "two_phase":
-            return _run_two_phase(scenario, cfg)
-        if cfg.mode == "fedavg":
-            return _run_fedavg(scenario, cfg)
-        return _run_rounds(scenario, cfg)
+        clients = [build_client(scenario, d, cfg) for d in sorted(scenario.domain_ids)]
+        cache = _seed_cache(clients, cfg)
+        history: list[MetricsReport] = []
+        best_mrr, best_round, stale = -np.inf, -1, 0
+        best_states = None
+        for t in range(cfg.rounds):
+            if policy.sync != "once":
+                cache.round_index = t
+            if policy.sync == "shared":
+                for c in clients:
+                    c.sync_shared(cache.shared)
+            snapshot = cache.snapshot() if policy.sync == "round" else None
+            updates = _run_updates(clients, snapshot, t, cfg)
+            if policy.sync in ("round", "shared"):
+                for dom in sorted(updates):
+                    cache.put(dom, updates[dom])
+            if policy.sync == "shared":
+                cache.shared = fedavg_aggregate([updates[d] for d in sorted(updates)])
 
-
-def _run_rounds(scenario: ScenarioSpec, cfg: RunConfig) -> RunResult:
-    clients = [build_client(scenario, d, cfg) for d in sorted(scenario.domain_ids)]
-    cache = ServerCache()
-    uses_cache = cfg.mode in GLOBAL_MODES
-    cache.round_index = -1  # cache is seeded with the initial encoders
-    for c in clients:
-        cache.put(c.domain_id, c.local_encoder_checkpoint())
-
-    def one_round(t):
-        cache.round_index = t
-        snapshot = cache.snapshot() if uses_cache else None
-        updates = _run_updates(clients, snapshot, t, cfg,
-                               local_only=cfg.mode == "local_only")
-        if uses_cache:
-            for dom in sorted(updates):
-                cache.put(dom, updates[dom])
-
-    history, best_round = _early_stop_loop(clients, cfg, cfg.mode, one_round)
-    final = evaluate_all(clients, "test", best_round, cfg.mode)
+            report = evaluate_all(clients, "valid", t, cfg.mode)
+            history.append(report)
+            logger.info("round %d [%s] avg valid MRR %.3f", t, cfg.mode, report.avg.mrr)
+            if report.avg.mrr > best_mrr:
+                best_mrr, best_round, stale = report.avg.mrr, t, 0
+                best_states = [c.snapshot_parameters() for c in clients]
+            else:
+                stale += 1
+                if stale >= cfg.patience > 0:
+                    logger.info("early stop after round %d (no improvement for %d rounds)",
+                                t, stale)
+                    break
+        if best_states is not None:
+            for client, state in zip(clients, best_states):
+                client.restore_parameters(state)
+        final = evaluate_all(clients, "test", best_round, cfg.mode)
     return RunResult(cfg.mode, history, final, best_round, cache, clients)
-
-
-def _run_fedavg(scenario: ScenarioSpec, cfg: RunConfig) -> RunResult:
-    clients = [build_client(scenario, d, cfg) for d in sorted(scenario.domain_ids)]
-    cache = ServerCache()
-    server_rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, _TAG_SERVER]))
-    cache.shared = checkpoint_from_params(
-        init_encoder(server_rng, cfg.model_config()).parameters())
-
-    def one_round(t):
-        cache.round_index = t
-        shared = cache.shared
-        for c in clients:
-            c.sync_shared(shared)
-        updates = _run_updates(clients, None, t, cfg, local_only=True)
-        for dom in sorted(updates):
-            cache.put(dom, updates[dom])
-        cache.shared = fedavg_aggregate([updates[d] for d in sorted(updates)])
-
-    history, best_round = _early_stop_loop(clients, cfg, "fedavg", one_round)
-    final = evaluate_all(clients, "test", best_round, "fedavg")
-    return RunResult("fedavg", history, final, best_round, cache, clients)
-
-
-def _run_two_phase(scenario: ScenarioSpec, cfg: RunConfig) -> RunResult:
-    """Independent pretraining, one synchronization, frozen fine-tuning."""
-    clients = [build_client(scenario, d, cfg) for d in sorted(scenario.domain_ids)]
-    cache = ServerCache()
-    if cfg.pretrain_epochs > 0:
-        for c in clients:
-            client_update(c, None, 0, local_epochs=cfg.pretrain_epochs,
-                          local_only=True, rng_tag=_TAG_PRETRAIN)
-    for c in clients:
-        cache.put(c.domain_id, c.local_encoder_checkpoint())
-    snapshot = cache.snapshot()
-    for c in clients:
-        c.sync(snapshot)
-
-    def one_round(t):
-        _run_updates(clients, None, t, cfg)  # no further synchronization
-
-    history, best_round = _early_stop_loop(clients, cfg, "two_phase", one_round)
-    final = evaluate_all(clients, "test", best_round, "two_phase")
-    return RunResult("two_phase", history, final, best_round, cache, clients)

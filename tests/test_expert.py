@@ -91,9 +91,15 @@ class TestEncode:
         self.branch = expert.init_branch(self.rng, self.num_items, TINY)
         self.adj = data.build_adjacency([[1, 2, 3, 4], [5, 6, 7]], self.num_items)
 
+    def encode(self, prefix, adj=None):
+        """(z, logits) arrays of encode_batch on one prefix row."""
+        z, logits = expert.encode_batch(self.branch, self.adj if adj is None else adj,
+                                        prefix[None, :])
+        return z.data, logits.data
+
     def test_all_padding_prefix_rejected(self):
         with pytest.raises(ValueError, match="no items"):
-            expert.encode(np.zeros(6, dtype=np.int64), self.branch, self.adj)
+            self.encode(np.zeros(6, dtype=np.int64))
 
     @pytest.mark.parametrize("bad", [[3, 4, 0, 0, 0, 0], [0, 0, 3, 0, 4, 5]])
     def test_prefix_not_left_padded_rejected_before_compute(self, bad, monkeypatch):
@@ -106,9 +112,9 @@ class TestEncode:
             expert.encode_batch(self.branch, self.adj, prefixes)
 
     def test_output_shapes(self):
-        enc = expert.encode(padded([1, 2, 3], 6), self.branch, self.adj)
-        assert enc.z.data.shape == (8,)
-        assert enc.o.data.shape == (self.num_items,)
+        z, logits = self.encode(padded([1, 2, 3], 6))
+        assert z.shape == (1, 8)
+        assert logits.shape == (1, self.num_items)
 
     def test_causal_mask_blocks_future_positions(self):
         prefix = padded([1, 2, 3, 4, 5], 6)
@@ -123,35 +129,35 @@ class TestEncode:
     def test_padding_positions_cannot_leak_into_real_ones(self):
         short = padded([3, 4], 6)
         longer = padded([1, 1, 1, 1, 3, 4], 6)
-        a = expert.encode(short, self.branch, self.adj).z.data
-        b = expert.encode(longer, self.branch, self.adj).z.data
+        a = self.encode(short)[0]
+        b = self.encode(longer)[0]
         assert np.abs(a - b).max() > 0  # sanity: history does matter
 
     def test_single_item_prefix_depends_only_on_its_row_and_position_zero(self):
         adj = identity_adjacency(self.num_items)
         prefix = padded([4], 6)
-        base = expert.encode(prefix, self.branch, adj).z.data.copy()
+        base = self.encode(prefix, adj)[0].copy()
 
         pos = self.branch.position_embeddings
         saved = pos.data.copy()
         pos.tensor.data[1:] += 5.0  # only position 0 may matter
-        unchanged = expert.encode(prefix, self.branch, adj).z.data
+        unchanged = self.encode(prefix, adj)[0]
         np.testing.assert_array_equal(base, unchanged)
         pos.tensor.data[:] = saved
 
         emb = self.branch.item_embeddings
         emb.tensor.data[5:] += 3.0  # other item rows may not matter
-        unchanged = expert.encode(prefix, self.branch, adj).z.data
+        unchanged = self.encode(prefix, adj)[0]
         np.testing.assert_array_equal(base, unchanged)
 
         emb.tensor.data[4] += 0.1  # its own row must matter
-        moved = expert.encode(prefix, self.branch, adj).z.data
+        moved = self.encode(prefix, adj)[0]
         assert np.abs(base - moved).max() > 0
 
     def test_eval_is_deterministic(self):
         prefix = padded([1, 2, 3], 6)
-        a = expert.encode(prefix, self.branch, self.adj).o.data
-        b = expert.encode(prefix, self.branch, self.adj).o.data
+        a = self.encode(prefix)[1]
+        b = self.encode(prefix)[1]
         np.testing.assert_array_equal(a, b)
 
     def test_dropout_needs_rng_in_train_mode(self):

@@ -46,17 +46,6 @@ class TestClientBuild:
         dropped = federation.build_client(scenario, "d2", cfg)
         assert sorted(dropped.global_branches) == ["d0", "d1"]
 
-    def test_drop_own_domain_rejected(self, scenario):
-        client = federation.build_client(scenario, "d0", small_config())
-        with pytest.raises(ConfigError):
-            federation.drop_expert(client, "d0")
-
-    def test_drop_mutator_rebuilds_gate(self, scenario):
-        client = federation.build_client(scenario, "d0", small_config())
-        federation.drop_expert(client, "d1")
-        assert sorted(client.global_branches) == ["d2"]
-        assert client.gate.num_experts == 2
-
 
 class TestClientUpdate:
     def test_global_encoders_byte_identical_to_synced_checkpoints(self, scenario):
@@ -112,6 +101,23 @@ class TestClientUpdate:
         assert np.isfinite(total.data)
         assert float(total.data) == pytest.approx(sum(components.values()), rel=1e-5)
 
+    @pytest.mark.parametrize("mode, local_only", [("fedavg", False), ("local_only", False),
+                                                  ("two_phase", True)])
+    def test_one_branch_losses_record_no_dead_tape_node(self, scenario, mode, local_only):
+        """fedavg, local_only and two-phase pretraining train the local branch
+        alone: every op on the tape feeds the loss, so each gets a gradient."""
+        client = federation.build_client(scenario, "d0", small_config(mode=mode))
+        prefixes, targets = client.dataset.train_arrays()
+        rng = np.random.default_rng(0)
+        batch = prefixes[:32]
+        aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
+        with ad.Tape() as tape:
+            total, components = federation.client_losses(client, batch, aug, targets[:32],
+                                                         rng, local_only=local_only)
+            ad.backward(total, tape)
+        assert sorted(components) == ["con:local", "rec:local"]
+        dead = [i for i, node in enumerate(tape.nodes) if node.out.grad is None]
+        assert tape.nodes and not dead, f"{len(dead)} of {len(tape.nodes)} nodes have no gradient"
 
     def test_non_finite_loss_raises_before_the_step(self, scenario, monkeypatch):
         client = federation.build_client(scenario, "d1", small_config())

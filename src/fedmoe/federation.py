@@ -172,8 +172,9 @@ def build_client(scenario: ScenarioSpec, domain_id: str, cfg: RunConfig) -> Clie
     if policy.global_branches:
         # dropping an expert removes it from every *other* domain's branch
         # set; the dropped domain itself keeps its full set
+        dropped = cfg.drop_domain if policy.drops_domain else None
         for other in ids:
-            if other == domain_id or other == cfg.drop_domain:
+            if other in (domain_id, dropped):
                 continue
             branch = init_branch(rng, dataset.num_items, model_cfg)
             branch.encoder.set_trainable(not policy.frozen)

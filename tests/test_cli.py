@@ -87,6 +87,18 @@ def test_ablate_grid_emits_variant_tables(data_dir, tmp_path, capsys):
     assert {r["mode"] for r in records} == {"fmoe", "no_gate", "local_only", "two_phase[0]"}
 
 
+def test_ablate_reference_row_ignores_drop_domain(data_dir, tmp_path, capsys):
+    """The fmoe row of a drop_expert ablation is a plain fmoe run: the
+    dropped domain only shapes the drop[...] rows."""
+    scenario = ["--scenario", str(data_dir / "scenario.json")]
+    assert main(["train"] + scenario + FAST + ["--out-dir", str(tmp_path / "train")]) == 0
+    train_rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith("fmoe ")]
+    assert main(["ablate"] + scenario + FAST + ["--mode", "drop_expert", "--drop-domain", "d1",
+                                                "--out-dir", str(tmp_path / "abl")]) == 0
+    ablate_rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith("fmoe ")]
+    assert train_rows and ablate_rows and ablate_rows[0] == train_rows[0]
+
+
 def test_synthetic_preset_runs(tmp_path):
     assert main(["train", "--synthetic", "default", "--mode", "local_only",
                  "--rounds", "1", "--local-epochs", "1", "--batch-size", "256",

@@ -46,6 +46,14 @@ class TestClientBuild:
         dropped = federation.build_client(scenario, "d2", cfg)
         assert sorted(dropped.global_branches) == ["d0", "d1"]
 
+    @pytest.mark.parametrize("mode", ["fmoe", "no_gate", "no_freeze", "two_phase"])
+    def test_drop_domain_ignored_outside_drop_expert(self, scenario, mode):
+        client = federation.build_client(scenario, "d0",
+                                         small_config(mode=mode, drop_domain="d2"))
+        assert sorted(client.global_branches) == ["d1", "d2"]
+        if client.gate is not None:
+            assert client.gate.num_experts == 3
+
 
 class TestClientUpdate:
     def test_global_encoders_byte_identical_to_synced_checkpoints(self, scenario):

@@ -31,7 +31,7 @@ class ModePolicy:
     drops_domain: bool     # drop_domain removes that expert from the other domains
 
 
-MODE_POLICIES = {
+MODE_POLICIES = {  # global_branches, gate, frozen, sync, drops_domain
     "fmoe": ModePolicy(True, True, True, "round", False),
     "local_only": ModePolicy(False, False, True, "never", False),
     "fedavg": ModePolicy(False, False, True, "shared", False),

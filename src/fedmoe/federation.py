@@ -105,12 +105,7 @@ class ClientState:
         return [self.local] + [self.global_branches[d] for d in sorted(self.global_branches)]
 
     def all_parameters(self):
-        params = list(self.local.parameters())
-        for dom in sorted(self.global_branches):
-            params.extend(self.global_branches[dom].parameters())
-        if self.gate is not None:
-            params.extend(self.gate.parameters())
-        return params
+        return [p for _, params in self._named_groups() for p in params]
 
     def round_rng(self, tag: int, index: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -180,11 +175,8 @@ def build_client(scenario: ScenarioSpec, domain_id: str, cfg: RunConfig) -> Clie
             branch.encoder.set_trainable(not policy.frozen)
             global_branches[other] = branch
 
-    gate = None
-    if policy.gate:
-        gate = init_gate(1 + len(global_branches), cfg.width,
-                         cfg.gate_hidden_dim, rng)
-
+    gate = (init_gate(1 + len(global_branches), cfg.width, cfg.gate_hidden_dim, rng)
+            if policy.gate else None)
     client = ClientState(domain_id=domain_id, dataset=dataset, cfg=cfg,
                          local=local, global_branches=global_branches, gate=gate,
                          optimizer=None, domain_index=domain_index)

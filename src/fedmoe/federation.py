@@ -204,7 +204,7 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
     """
     cfg = client.cfg
     adj = client.dataset.adjacency
-    order = client.expert_order()[:1] if local_only else client.expert_order()
+    order = [client.domain_id] if local_only else client.expert_order()
     mixed = len(order) > 1
     z_list, prob_list = [], []
     total = None

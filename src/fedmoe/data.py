@@ -6,10 +6,18 @@ in time order. A scenario manifest (JSON) lists domain ids and file
 paths. The synthetic generator writes the same format, so generated and
 user-supplied scenarios go through one pipeline.
 
-Set-up works on arrays. The synthetic generator draws its random stream
-with scalar calls, one bounded integer and then one uniform per item: the
-words ``Generator.choice`` consumed, so a seed gives the same scenario
-bytes as in earlier releases. Each split is three read-only arrays
+Set-up works on arrays. The synthetic generator draws one bounded integer
+and then one uniform per item, the words ``Generator.choice`` consumed, so
+a seed gives the same scenario bytes as in earlier releases. It does not
+make those scalar calls: they only consume the 64-bit words of the
+generator's PCG64, so ``_Words`` fetches the words in chunks with
+``random_raw`` and makes the same numbers of them in plain Python.
+``integers(n)`` is numpy's 32-bit Lemire multiply-and-reject draw over a
+half-word buffer (a word's low half now, its high half at the next draw),
+``random()`` a whole word's top 53 bits over 2**53, and closing the source
+rewinds the generator to where the scalar calls would have left it,
+buffer included; numpy leaves a used half in the buffer's ``uinteger``
+field, so that is kept too. Each split is three read-only arrays
 (``Split``) cut by one fancy index from a padded item matrix, and the
 adjacency's edges come from one ``np.unique`` over integer codes.
 """
@@ -20,6 +28,7 @@ import dataclasses
 import itertools
 import json
 from bisect import bisect_right
+from operator import length_hint
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +402,8 @@ class SyntheticSpec:
             raise ConfigError(f"bad length range [{self.min_len}, {self.max_len}]")
         if self.items_per_domain < self.num_clusters:
             raise ConfigError("need at least one item per cluster")
+        if self.users_per_domain < 1:
+            raise ConfigError(f"users_per_domain must be at least 1, got {self.users_per_domain}")
 
 
 def _peaked_chain(rng: np.random.Generator, c: int) -> np.ndarray:
@@ -418,6 +429,67 @@ def _choice_cdf(p: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
+class _Words:
+    """A PCG64 generator's 64-bit words, fetched ``CHUNK`` at a time with
+    ``random_raw`` and turned into the numbers its scalar calls make.
+
+    ``bounded(n)`` equals ``integers(n)`` for 1 <= n <= 2**32: numpy's
+    32-bit Lemire draw over the generator's half-word buffer (a word's low
+    half is used first and its high half kept for the next draw), with the
+    rejection loop, and nothing drawn for n == 1. ``unit()`` equals
+    ``random()``: the next whole word's top 53 bits, buffer untouched.
+    ``close()`` leaves the generator where those scalar calls would have.
+    """
+
+    CHUNK = 4096  # words per fetch, 32 KB
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        assert isinstance(self._bitgen, np.random.PCG64)
+        state = self._bitgen.state
+        self._has_half, self._half = state["has_uint32"], state["uinteger"]
+        self._fetch()
+
+    def _fetch(self) -> None:
+        self._saved = self._bitgen.state
+        self._words = iter(self._bitgen.random_raw(self.CHUNK).tolist())
+
+    def bounded(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            if self._has_half:
+                self._has_half = 0
+                m = self._half * n
+            else:
+                word = next(self._words, None)
+                if word is None:
+                    self._fetch()
+                    word = next(self._words)
+                self._has_half, self._half = 1, word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            # reject the low products that would bias the result
+            if (m & 0xFFFFFFFF) >= n or (m & 0xFFFFFFFF) >= (1 << 32) % n:
+                return m >> 32
+
+    def unit(self) -> float:
+        word = next(self._words, None)
+        if word is None:
+            self._fetch()
+            word = next(self._words)
+        return (word >> 11) * (1.0 / 9007199254740992.0)
+
+    def close(self) -> None:
+        """Rewind to the last fetch, advance by the words used since, and
+        set the half-word buffer; numpy keeps a used half as ``uinteger``."""
+        bitgen = self._bitgen
+        bitgen.state = self._saved
+        bitgen.advance(self.CHUNK - length_hint(self._words))
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        bitgen.state = state
+
+
 def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, list[str]]]]:
     """Raw per-domain rows with globally disjoint item tokens.
 
@@ -430,10 +502,19 @@ def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, lis
     ``Generator.choice(members[k])`` and ``choice(c, p=chain[k])`` consume,
     so scenarios are byte-identical to those of earlier releases, which
     called ``choice`` per item.
+
+    The set-up draws and the shuffle are numpy calls. The per-user draws of
+    a domain come from a ``_Words`` source opened after its shuffle and
+    closed before the next domain draws: each ``integers(n)`` takes a
+    half-word from the generator's buffer or the low half of a new word
+    (keeping the high half), maps it by Lemire's multiply-and-reject, and
+    draws nothing for n == 1; each ``random()`` takes a whole word. The
+    source serves the very words the scalar calls would have, and on close
+    sets the generator's state, buffer and stale ``uinteger`` included, to
+    theirs, so every scenario and every later draw is unchanged.
     """
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
-    integers, uniform = rng.integers, rng.random
     c = spec.num_clusters
     shared = _peaked_chain(rng, c)
     scenario: dict[str, list[tuple[str, list[str]]]] = {}
@@ -447,15 +528,18 @@ def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, lis
         tokens = [f"{domain_id}:i{i}" for i in range(spec.items_per_domain)]
         members = [[tokens[i] for i in np.flatnonzero(clusters == k)] for k in range(c)]
         sizes = [len(m) for m in members]
+        words = _Words(rng)
+        bounded, unit = words.bounded, words.unit
         rows = []
         for u in range(spec.users_per_domain):
-            length = int(integers(spec.min_len, spec.max_len + 1))
-            k = int(integers(c))
+            length = spec.min_len + bounded(spec.max_len - spec.min_len + 1)
+            k = bounded(c)
             items = []
             for _ in range(length):
-                items.append(members[k][integers(sizes[k])])
-                k = bisect_right(cdfs[k], uniform())
+                items.append(members[k][bounded(sizes[k])])
+                k = bisect_right(cdfs[k], unit())
             rows.append((f"{domain_id}:u{u}", items))
+        words.close()
         scenario[domain_id] = rows
     return scenario
 

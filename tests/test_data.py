@@ -342,6 +342,13 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             data.SyntheticSpec(num_domains=1).validate()
 
+    @pytest.mark.parametrize("users", [0, -3])
+    def test_no_users_rejected_before_any_draw(self, users, made_generators):
+        spec = data.SyntheticSpec(users_per_domain=users)
+        with pytest.raises(ConfigError, match="users_per_domain"):
+            data.generate_synthetic(spec, data.DataConfig(apply_filters=False))
+        assert made_generators == []
+
     def test_bookkeeping_matches_spec_with_filters_disabled(self):
         spec = data.SyntheticSpec(num_domains=3, items_per_domain=50,
                                   users_per_domain=200, seed=11)
@@ -503,6 +510,10 @@ WRITTEN_SCENARIO_SHA256 = [
     (data.SyntheticSpec(num_domains=4, items_per_domain=17, users_per_domain=25, min_len=5,
                         max_len=5, num_clusters=3, correlation=0.0, seed=12345),
      "d8df2d4fbd3b663bf71176a1211af36f8161b0d8ae89a72a1d012587ac0e5404"),
+    # the eval_catalog benchmark's scenario: three 4096-word chunks per domain
+    (data.SyntheticSpec(num_domains=3, items_per_domain=1000, users_per_domain=2000,
+                        min_len=10, max_len=16, num_clusters=8, correlation=1.0, seed=101),
+     "6aef289c5416ea339f11b46c5ae07362da3976dfefd4496eec58bbb38e7787bd"),
 ]
 
 
@@ -513,6 +524,59 @@ def test_written_scenario_bytes_pinned(tmp_path, spec, digest):
     for f in sorted(tmp_path.iterdir()):
         h.update(f.name.encode() + b"\0" + f.read_bytes())
     assert h.hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the word source against the scalar calls it stands in for
+# ---------------------------------------------------------------------------
+
+# a bound just over 3 * 2**30 rejects about a quarter of its products
+REJECTING = 3 * 2**30 + 1
+
+
+def assert_words_match_scalar_calls(draws, seed=0, warm_up=0):
+    """``draws`` lists bounds, 0 meaning a uniform; both generators first
+    make ``warm_up`` ``integers(5)`` calls, which sets the half-word buffer."""
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(warm_up):
+        ref.integers(5), rng.integers(5)
+    words = data._Words(rng)
+    got = [words.bounded(n) if n else words.unit() for n in draws]
+    words.close()
+    assert got == [int(ref.integers(n)) if n else ref.random() for n in draws]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+    assert rng.integers(1 << 40) == ref.integers(1 << 40)
+
+
+class TestWords:
+    @pytest.mark.parametrize("warm_up", [0, 1, 2])  # buffer empty, full, empty and stale
+    @pytest.mark.parametrize("draws", [[7, 0, 1, 0, 3, 3, 0, 1, 1, 125, 0, 0, 2**32, 8, 1],
+                                       [5], [5, 5], [5, 0, 5, 0, 5], [0], [1], []])
+    def test_interleaved_draws(self, draws, warm_up):
+        assert_words_match_scalar_calls(draws, seed=4, warm_up=warm_up)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_across_chunk_boundaries(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        bounds = np.array([0, 0, 1, 2, 7, 125, 1000, REJECTING])
+        draws = bounds[rng.integers(len(bounds), size=3 * data._Words.CHUNK)].tolist()
+        assert_words_match_scalar_calls(draws, seed=seed, warm_up=seed)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_close_at_the_chunk_end(self, extra):
+        assert_words_match_scalar_calls([0] * (data._Words.CHUNK + extra), seed=2)
+        assert_words_match_scalar_calls([6] * (2 * data._Words.CHUNK + extra), seed=2)
+
+    @pytest.mark.parametrize("warm_up", [0, 1])
+    def test_lemire_rejection_loop(self, warm_up):
+        # the first halves of seed 3's stream hold products below the threshold
+        raw = np.random.default_rng(3).bit_generator.random_raw(64)
+        halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist()
+        threshold = (1 << 32) % REJECTING
+        assert sum((h * REJECTING) & 0xFFFFFFFF < threshold for h in halves) > 10
+        assert_words_match_scalar_calls([REJECTING] * 100 + [0, REJECTING, 1] * 20,
+                                        seed=3, warm_up=warm_up)
 
 
 class TestSplitArrays:

@@ -222,6 +222,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     reports: list[MetricsReport] = []
 
     def run_variant(mode, label, **kw):
+        # the rows that read drop_domain or pretrain_epochs pass their own
+        kw = dict(drop_domain=None, pretrain_epochs=0) | kw
         variant = dataclasses.replace(cfg, mode=mode, **kw)
         result = federation.run(scenario, variant)
         report = dataclasses.replace(result.final_test, mode=label)

@@ -104,6 +104,12 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.policy.drops_domain and not self.drop_domain:
             raise ConfigError(f"{self.mode} mode needs drop_domain")
+        if self.drop_domain is not None and not self.policy.drops_domain:
+            raise ConfigError(f"drop_domain is read only in drop_expert mode, "
+                              f"not in {self.mode} mode")
+        if self.pretrain_epochs and self.policy.sync != "once":
+            raise ConfigError(f"pretrain_epochs is read only in two_phase mode, "
+                              f"not in {self.mode} mode")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"unknown precision {self.precision!r}")
         for name, lo in (("rounds", 1), ("local_epochs", 1), ("batch_size", 1),

@@ -108,6 +108,23 @@ def test_synthetic_preset_runs(tmp_path):
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("mode, flag, value, field", [
+        ("fmoe", "--drop-domain", "d1", "drop_domain"),
+        ("no_gate", "--pretrain-epochs", "1", "pretrain_epochs")])
+    def test_option_of_another_mode_rejected_before_training(self, data_dir, tmp_path,
+                                                             monkeypatch, capsys,
+                                                             mode, flag, value, field):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran although the config is invalid")
+
+        monkeypatch.setattr("fedmoe.federation.run", no_training)
+        assert main(["train", "--scenario", str(data_dir / "scenario.json"),
+                     "--out-dir", str(tmp_path / "run"), "--mode", mode, flag, value]
+                    + FAST) == 2
+        err = capsys.readouterr().err
+        assert field in err and f"{mode} mode" in err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_mode_exit_2(self, capsys):
         assert main(["train", "--mode", "bogus", "--synthetic", "default"]) == 2
         assert "unknown mode" in capsys.readouterr().err

@@ -255,6 +255,21 @@ class TestRunModes:
         assert len(res.final_test.per_domain["d0"].gate_weights) == 2
         assert len(res.final_test.per_domain["d1"].gate_weights) == 3
 
+    @pytest.mark.parametrize("mode", ["fmoe", "local_only", "fedavg", "no_gate",
+                                      "no_freeze", "two_phase"])
+    def test_drop_domain_outside_drop_expert_rejected(self, scenario, mode):
+        with pytest.raises(ConfigError, match=f"drop_domain .* {mode} mode"):
+            federation.run(scenario, small_config(mode=mode, drop_domain="d1"))
+
+    @pytest.mark.parametrize("mode", ["fmoe", "local_only", "fedavg", "no_gate",
+                                      "no_freeze", "drop_expert"])
+    def test_pretrain_epochs_outside_two_phase_rejected(self, mode):
+        cfg = small_config(mode=mode, pretrain_epochs=1,
+                           drop_domain="d1" if mode == "drop_expert" else None)
+        with pytest.raises(ConfigError, match=f"pretrain_epochs .* {mode} mode"):
+            cfg.validate()
+        dataclasses.replace(cfg, pretrain_epochs=0).validate()
+
     def test_drop_unknown_domain_rejected(self, scenario):
         with pytest.raises(ConfigError):
             federation.run(scenario, small_config(mode="drop_expert", drop_domain="nope"))

@@ -5,8 +5,8 @@ Each digest is the SHA-256 of the round history plus the final test report
 change that is meant to keep behaviour must leave them all unchanged; a
 change that moves them says why.
 
-Every mode runs with drop_domain="d1", which only drop_expert reads; the
-other modes' digests are those of the same run without it.
+drop_expert runs with drop_domain="d1" and two_phase with pretrain_epochs=1;
+each is passed only to the mode that reads it.
 """
 
 import hashlib
@@ -48,7 +48,8 @@ def test_every_mode_has_a_golden():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_golden_run(scenario, mode):
-    cfg = tiny_config(rounds=2, mode=mode, drop_domain="d1", pretrain_epochs=1)
+    own = {"drop_expert": dict(drop_domain="d1"), "two_phase": dict(pretrain_epochs=1)}
+    cfg = tiny_config(rounds=2, mode=mode, **own.get(mode, {}))
     res = federation.run(scenario, cfg)
     records = "\n".join(r.to_json_lines() for r in res.history + [res.final_test])
     got = (hashlib.sha256(records.encode()).hexdigest(),

@@ -5,6 +5,11 @@ Each digest is the SHA-256 of the round history plus the final test report
 change that is meant to keep behaviour must leave them all unchanged; a
 change that moves them says why.
 
+Two tables: the tiny config's dropout of 0.1, and the same runs without
+dropout. A change to the dropout stream moves the first table alone; the
+second shows that nothing else moved. A failing run prints the digests it
+got beside the pinned ones, so a re-pin shows old and new in one run.
+
 drop_expert runs with drop_domain="d1" and two_phase with pretrain_epochs=1;
 each is passed only to the mode that reads it.
 """
@@ -18,7 +23,7 @@ from fedmoe.config import MODES
 
 from test_acceptance import tiny_config, tiny_scenario
 
-# mode: (records, server cache state)
+# mode: (records, server cache state), dropout 0.1
 GOLDEN_SHA256 = {
     "fmoe": ("59640a4e946323f6462eadba46cb51d4f3bd31f8f436bbe6938d530104c60f89",
              "3a821e05e31d3c1e5fe0b974c7a0976830b339ab05ac51afc18cec64f186202c"),
@@ -36,22 +41,54 @@ GOLDEN_SHA256 = {
                   "b6eec5192a325358a0aab57df00af03946006f2cf4454dc36d6ac682b998c80c"),
 }
 
+# mode: (records, server cache state), dropout 0.0
+GOLDEN_NO_DROPOUT_SHA256 = {
+    "fmoe": ("419b2abd29c58a5592653939195cee140182f6267823180dd571193030656ca3",
+             "d097cce63924db8f21691b28291cafa3ba002452bfe08c8b6eea744299fce98a"),
+    "local_only": ("7c2ef9003bb2c965d1cd57c344d03860c65117e3055a7a8c5a4c85f56b439113",
+                   "17f5a6106b7e533409c7bb5a981e55b670b778f187770c82cc797650a6b29e09"),
+    "fedavg": ("845f5f924016eca3e9bc96956504a5b9c9019bc5ec55a797243cd89115f6d292",
+               "d045e59f727435e556f95a3801dec0512b7f3d5d2978e973b56ab9f27ffb2abb"),
+    "no_gate": ("9eceb942e17d56b6e7ecda4f231aa0bedec6002088ed26f4771538d3216d815e",
+                "d097cce63924db8f21691b28291cafa3ba002452bfe08c8b6eea744299fce98a"),
+    "no_freeze": ("48603e3f344db8a7bffc687f29ac508abf23602a3e4169a6f2dd32c5c16a3ee4",
+                  "d097cce63924db8f21691b28291cafa3ba002452bfe08c8b6eea744299fce98a"),
+    "drop_expert": ("e7b3137cd7dbe72d2f92af92d993492e7f1e8284b0481770d6af70614de47581",
+                    "d097cce63924db8f21691b28291cafa3ba002452bfe08c8b6eea744299fce98a"),
+    "two_phase": ("9450dc86ca2127d7006efdf12cef718d8a4bad58aa496ac8fead6c25ef4c63ea",
+                  "9aa12139680d978fe45c9c17c7564b1dbfc97538ede7ae1f497bb359f42e04a2"),
+}
+
 
 @pytest.fixture(scope="module")
 def scenario():
     return tiny_scenario()
 
 
+def _digests(scenario, mode, **overrides):
+    own = {"drop_expert": dict(drop_domain="d1"), "two_phase": dict(pretrain_epochs=1)}
+    cfg = tiny_config(rounds=2, mode=mode, **own.get(mode, {}), **overrides)
+    res = federation.run(scenario, cfg)
+    records = "\n".join(r.to_json_lines() for r in res.history + [res.final_test])
+    return (hashlib.sha256(records.encode()).hexdigest(),
+            hashlib.sha256(res.cache.state_bytes()).hexdigest())
+
+
+def _assert_pinned(mode, got, table):
+    assert got == table[mode], (f"{mode}: got records {got[0]} state {got[1]}; "
+                                f"pinned records {table[mode][0]} state {table[mode][1]}")
+
+
 def test_every_mode_has_a_golden():
-    assert sorted(GOLDEN_SHA256) == sorted(MODES)
+    for table in (GOLDEN_SHA256, GOLDEN_NO_DROPOUT_SHA256):
+        assert sorted(table) == sorted(MODES)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_golden_run(scenario, mode):
-    own = {"drop_expert": dict(drop_domain="d1"), "two_phase": dict(pretrain_epochs=1)}
-    cfg = tiny_config(rounds=2, mode=mode, **own.get(mode, {}))
-    res = federation.run(scenario, cfg)
-    records = "\n".join(r.to_json_lines() for r in res.history + [res.final_test])
-    got = (hashlib.sha256(records.encode()).hexdigest(),
-           hashlib.sha256(res.cache.state_bytes()).hexdigest())
-    assert got == GOLDEN_SHA256[mode]
+    _assert_pinned(mode, _digests(scenario, mode), GOLDEN_SHA256)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_golden_run_without_dropout(scenario, mode):
+    _assert_pinned(mode, _digests(scenario, mode, dropout=0.0), GOLDEN_NO_DROPOUT_SHA256)

@@ -528,31 +528,18 @@ def cross_entropy(logits, target) -> Tensor:
     return _record(out, (logits,), bwd)
 
 
-def dropout(a, p: float, rng: np.random.Generator, draw_shape=None, rows=None) -> Tensor:
+def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     """Train-mode dropout with inverted scaling; eval paths skip the call.
 
-    The mask is drawn at draw_shape (default a's shape) and applied in
-    part: its trailing block of a's shape, or, given rows, the rows of the
-    draw at those first-axis indices. An op computed at some positions of
-    a larger activation thus consumes the random stream as the whole one
-    would.
+    The mask is drawn at a's own shape, exactly a.size uniforms of a's
+    width (float32 or float64), and applied whole.
     """
     a = as_tensor(a)
     if p <= 0.0:
         return a
-    shape = a.data.shape if draw_shape is None else tuple(draw_shape)
-    if rows is None:
-        pick = tuple(slice(n - m, None) for n, m in zip(shape, a.data.shape))
-        fits = len(shape) == a.data.ndim and all(m <= n for n, m in zip(shape, a.data.shape))
-    else:
-        pick = np.asarray(rows)
-        fits = pick.shape == a.data.shape[:1] and shape[1:] == a.data.shape[1:]
-    if not fits:
-        raise ShapeError(f"dropout: cannot apply a {shape} draw to {a.data.shape}")
     keep = 1.0 - p
     draw_dtype = np.float32 if a.data.dtype == np.float32 else np.float64
-    u = rng.random(shape, dtype=draw_dtype)[pick]
-    mask = (u < keep).astype(a.data.dtype) / keep
+    mask = (rng.random(a.data.shape, dtype=draw_dtype) < keep).astype(a.data.dtype) / keep
     out = Tensor(a.data * mask)
     return _record(out, (a,), lambda g: (g * mask,))
 

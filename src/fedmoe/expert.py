@@ -30,10 +30,10 @@ position j is q.(h_j W_k) = (q W_k^T).h_j and its context is
 (sum_j a_j h_j) W_v, so one vector per head scores the normed states h
 and the attention weights pool h before the value projection.
 
-Dropout masks are still drawn at the all-position shape, padding and
-non-final rows included, and only the rows of computed positions
-applied: drawing fewer numbers would shift the random stream, and every
-augmentation and mask drawn after it, like a re-seed.
+Each dropout mask is drawn at the shape of the activation it is applied
+to, so no number is drawn for a position that is not computed: the
+feed-forward masks cover the packed rows their block computes, and the
+final query's attention mask covers its (batch, heads, t) weights.
 """
 
 from __future__ import annotations
@@ -220,10 +220,12 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     context. The output projection, second norm and feed-forward also run
     at the final position; every earlier block covers all real positions.
 
-    Dropout masks are drawn at the all-position (batch, t_max, ...) shape
-    and only the rows of computed positions applied (draw_shape and rows),
-    so the rng advances exactly as in a pass over every position and later
-    draws do not shift.
+    Dropout draws exactly the elements it applies, in call order from the
+    one rng: each feed-forward mask covers the rows that block computes,
+    (n_real, ff) in row-major order for a block over all real positions
+    and (batch, ff) for a final-only block; attention over all positions
+    masks its (batch, heads, t, t) weights and the final query its
+    (batch, heads, t) weights.
     """
     cfg = branch.cfg
     b, t = prefixes.shape
@@ -254,7 +256,6 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     full_blocks = len(blocks) - 1 if final_only else len(blocks)
     if full_blocks:
         bias = Tensor(_attention_bias(prefixes, dtype, t))
-    rows = vi  # flat (batch * t_max) positions of x's rows
     for i, block in enumerate(blocks):
         h = ad.layer_norm(x, block.norm1_gain.tensor, block.norm1_bias.tensor)
         if i < full_blocks:
@@ -263,13 +264,11 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
             x = ad.add(ad.take_rows(x, last),
                        _attend_final(block, h, vi, last, _attention_bias(prefixes, dtype, 1),
                                      heads, dh, drop_rng, cfg.dropout))
-            rows = vi[last]
 
         h2 = ad.layer_norm(x, block.norm2_gain.tensor, block.norm2_bias.tensor)
         f = ad.gelu(ad.add(ad.matmul(h2, block.ff_in.tensor), block.ff_in_bias.tensor))
         if drop_rng is not None:
-            f = ad.dropout(f, cfg.dropout, drop_rng, draw_shape=(b * t, f.data.shape[-1]),
-                           rows=rows)
+            f = ad.dropout(f, cfg.dropout, drop_rng)
         x = ad.add(x, ad.add(ad.matmul(f, block.ff_out.tensor), block.ff_out_bias.tensor))
     return x if final_only else ad.scatter_rows(x, vi, (b, t))
 
@@ -320,8 +319,7 @@ def _attend_final(block: EncoderBlock, h: Tensor, vi: np.ndarray, last: np.ndarr
                     Tensor(bias[:, 0, 0, :, None]))                     # (b, t, H)
     attn = ad.swapaxes(ad.softmax(scores, axis=1), 1, 2)                # (b, H, t)
     if rng is not None:
-        attn = ad.reshape(ad.dropout(ad.reshape(attn, (b, heads, 1, t)), p, rng,
-                                     draw_shape=(b, heads, t, t)), (b, heads, t))
+        attn = ad.dropout(attn, p, rng)
     pooled = ad.swapaxes(ad.matmul(attn, hs), 0, 1)                    # (H, b, d)
     v = ad.swapaxes(ad.reshape(block.attn_v.tensor, (d, heads, dh)), 0, 1)  # (H, d, dh)
     ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, d))

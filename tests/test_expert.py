@@ -170,53 +170,68 @@ class TestEncode:
 
 class TestFinalPositionPath:
     """final_only computes the last block at the final position alone; it
-    must give the last row of the all-position pass, the same gradients,
-    and consume the dropout stream exactly as that pass does."""
+    must give the last row of the all-position pass and the same gradients
+    (compared without dropout, whose draws differ between the two paths),
+    and draw exactly the dropout elements it applies."""
 
-    @staticmethod
-    def _run_both(blocks, heads):
+    PREFIXES = np.stack([padded([1, 2, 3, 4, 5], 6), padded([6, 7], 6),
+                         padded([1, 2, 3, 4, 5, 6], 6), padded([9], 6)])
+
+    @classmethod
+    def _run(cls, blocks, heads, final_only, dropout=0.0):
         cfg = expert.ModelConfig(width=8, blocks=blocks, heads=heads, ff_mult=2,
-                                 gnn_depth=1, t_max=6, dropout=0.3)
+                                 gnn_depth=1, t_max=6, dropout=dropout)
         branch = expert.init_branch(np.random.default_rng(3), 10, cfg)
         adj = data.build_adjacency([[1, 2, 3, 4], [5, 6, 7], [8, 9, 10]], 10)
-        prefixes = np.stack([padded([1, 2, 3, 4, 5], 6), padded([6, 7], 6),
-                             padded([1, 2, 3, 4, 5, 6], 6), padded([9], 6)])
         probe = np.random.default_rng(4).standard_normal((4, 8))
         params = ([branch.item_embeddings, branch.position_embeddings]
                   + branch.encoder.parameters())
-
-        def run(final_only):
-            for p in params:
-                p.tensor.zero_grad()
-            rng = np.random.default_rng(5)
-            with ad.Tape() as tape:
-                out = expert._forward_states(branch, adj, prefixes, train=True, rng=rng,
-                                             final_only=final_only)
-                z = out if final_only else ad.select(out, axis=1, index=5)
-                ad.backward(ad.tsum(ad.mul(z, ad.Tensor(probe))), tape)
-            return z.data, [p.tensor.grad for p in params], rng.random()
-
-        return params, run(False), run(True)
+        rng = np.random.default_rng(5)
+        with ad.Tape() as tape:
+            out = expert._forward_states(branch, adj, cls.PREFIXES, train=True, rng=rng,
+                                         final_only=final_only)
+            z = out if final_only else ad.select(out, axis=1, index=5)
+            ad.backward(ad.tsum(ad.mul(z, ad.Tensor(probe))), tape)
+        return params, z.data, [p.tensor.grad for p in params], rng
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_matches_last_row_of_all_positions(self, blocks, heads):
-        params, (z_all, grads_all, next_all), (z_last, grads_last, next_last) = \
-            self._run_both(blocks, heads)
+        params, z_all, grads_all, _ = self._run(blocks, heads, final_only=False)
+        _, z_last, grads_last, _ = self._run(blocks, heads, final_only=True)
         assert z_last.shape == (4, 8)
         np.testing.assert_allclose(z_last, z_all, rtol=0, atol=1e-12)
         for p, ga, gl in zip(params, grads_all, grads_last):
             assert ga is not None and gl is not None, p.name
             np.testing.assert_allclose(gl, ga, rtol=0, atol=1e-12, err_msg=p.name)
-        assert next_last == next_all
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_float32_matches_all_positions(self, heads):
         with ad.default_dtype(np.float32):
-            params, (z_all, _, next_all), (z_last, _, next_last) = self._run_both(2, heads)
+            _, z_all, _, _ = self._run(2, heads, final_only=False)
+            _, z_last, _, _ = self._run(2, heads, final_only=True)
         assert z_last.dtype == np.float32
         np.testing.assert_allclose(z_last, z_all, rtol=1e-5, atol=0)
-        assert next_last == next_all
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("final_only", [True, False])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_draws_exactly_the_elements_it_applies(self, blocks, heads, final_only, dtype):
+        """Per full block: (batch, heads, t, t) attention weights and the
+        feed-forward's real rows; a final-only block: (batch, heads, t)
+        weights and (batch, ff) rows."""
+        b, t = self.PREFIXES.shape
+        n_real, ff = int((self.PREFIXES != 0).sum()), 16
+        full = blocks - 1 if final_only else blocks
+        count = full * (b * heads * t * t + n_real * ff)
+        if final_only:
+            count += b * heads * t + b * ff
+        with ad.default_dtype(dtype):
+            rng = self._run(blocks, heads, final_only, dropout=0.3)[-1]
+        ref = np.random.default_rng(5)
+        ref.random(count, dtype=dtype)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _dense_forward_states(branch, norm_adjacency, prefixes, train=False, rng=None,
@@ -224,7 +239,10 @@ def _dense_forward_states(branch, norm_adjacency, prefixes, train=False, rng=Non
     """Reference encoder over every (batch, t) position, padding included:
     the layout the packed encoder replaced. Padding tokens are blanked
     after the embedding, every block's position-wise ops run on all
-    positions, and padding states are blanked at the end."""
+    positions, and padding states are blanked at the end. Each
+    feed-forward mask is drawn over the rows the packed encoder computes
+    (real rows in row-major order, or the final rows) and scattered into
+    the dense layout, zero elsewhere."""
     cfg = branch.cfg
     b, t = prefixes.shape
     table = expert.lookup_table(branch, norm_adjacency)
@@ -254,7 +272,8 @@ def _dense_forward_states(branch, norm_adjacency, prefixes, train=False, rng=Non
         h2 = ad.layer_norm(x, block.norm2_gain.tensor, block.norm2_bias.tensor)
         f = ad.gelu(ad.add(ad.matmul(h2, block.ff_in.tensor), block.ff_in_bias.tensor))
         if drop:
-            f = ad.dropout(f, cfg.dropout, rng, draw_shape=(b, t, f.data.shape[-1]))
+            applied = mask[:, t - f.data.shape[1]:]
+            f = ad.mul(f, ad.Tensor(_scattered_mask(rng, cfg.dropout, applied, f.data)))
         x = ad.add(x, ad.add(ad.matmul(f, block.ff_out.tensor), block.ff_out_bias.tensor))
     rows = x.data.shape[1]
     x = ad.mul(x, ad.Tensor(mask[:, t - rows:, None].astype(dtype)))
@@ -283,12 +302,22 @@ def _dense_attend_final(block, h, bias, heads, dh, rng, p):
     scores = ad.add(ad.scale(ad.matmul(h, r), dh ** -0.5), ad.Tensor(bias[:, 0, 0, :, None]))
     attn = ad.swapaxes(ad.softmax(scores, axis=1), 1, 2)
     if rng is not None:
-        attn = ad.reshape(ad.dropout(ad.reshape(attn, (b, heads, 1, t)), p, rng,
-                                     draw_shape=(b, heads, t, t)), (b, heads, t))
+        attn = ad.dropout(attn, p, rng)
     pooled = ad.swapaxes(ad.matmul(attn, h), 0, 1)
     v = ad.swapaxes(ad.reshape(block.attn_v.tensor, (d, heads, dh)), 0, 1)
     ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, 1, d))
     return ad.matmul(ctx, block.attn_out.tensor)
+
+
+def _scattered_mask(rng, p, applied, like):
+    """Inverted dropout mask of like's (b, rows, ff) shape: one uniform per
+    element of the rows where applied is set, in row-major order, zero in
+    every other row."""
+    keep = 1.0 - p
+    u = rng.random((int(applied.sum()), like.shape[-1]), dtype=like.dtype)
+    out = np.zeros(like.shape, dtype=like.dtype)
+    out[applied] = (u < keep).astype(like.dtype) / keep
+    return out
 
 
 def _dense_final_position(x):
@@ -299,7 +328,7 @@ def _dense_final_position(x):
 class TestPackedMatchesDenseOracle:
     """The packed encoder computes only real positions; it must give the
     dense all-position reference's states, gradients and rng stream, in
-    train mode with dropout."""
+    train mode with dropout drawn over the applied rows."""
 
     @staticmethod
     def _run_both(blocks, heads, final_only):

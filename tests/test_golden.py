@@ -25,20 +25,20 @@ from test_acceptance import tiny_config, tiny_scenario
 
 # mode: (records, server cache state), dropout 0.1
 GOLDEN_SHA256 = {
-    "fmoe": ("59640a4e946323f6462eadba46cb51d4f3bd31f8f436bbe6938d530104c60f89",
-             "3a821e05e31d3c1e5fe0b974c7a0976830b339ab05ac51afc18cec64f186202c"),
-    "local_only": ("ab89cd85c4a2483a82d8254267179503263959c424512cdce7ea77aadcc13e70",
+    "fmoe": ("245c371d01cfa9dd544f6fb0fa7862c18ff89fbdd92d000c17508050a0025eca",
+             "7a94f63ae4db2ec7ef047e620f4217a78a3349615749b87359d9a1136a90323a"),
+    "local_only": ("b9c294ecee05a9e095529d28ad8648ca329b98bc9405b3392cce1b2258506e9c",
                    "17f5a6106b7e533409c7bb5a981e55b670b778f187770c82cc797650a6b29e09"),
-    "fedavg": ("53dd67c3948b057acadcf781faa0e30e97b25d8fe126f0c9b3d90156fe252a3a",
-               "89c8370075911537dc7af4601c77d527ad2cc12f2879a33866fef0979a5e9a3c"),
-    "no_gate": ("1fec7970c7729b69d77d949f99309f5f9984869e926245d23ee09f65527edb9c",
-                "3a821e05e31d3c1e5fe0b974c7a0976830b339ab05ac51afc18cec64f186202c"),
-    "no_freeze": ("c6888bb1a4c8ce946c39f3605185efd557a59f96cfc469aa9926089827c13a4a",
-                  "3a821e05e31d3c1e5fe0b974c7a0976830b339ab05ac51afc18cec64f186202c"),
-    "drop_expert": ("8b08c35a35d4e2d10252c3f5b8b147815c20eb498fab7dcd605b4e9c12c279ac",
-                    "d6a4d9bb30d797fff03d1f053292a04a194c91165e6bc9099b631a639db78328"),
-    "two_phase": ("c1f35388735b088b31e34a40fd912096d338c24d46d620bb0e6fd4ef43c411bc",
-                  "b6eec5192a325358a0aab57df00af03946006f2cf4454dc36d6ac682b998c80c"),
+    "fedavg": ("81382178053d15a59022c3ea8f85dcf1f1c0c5f64cbfb911d79cb82481070417",
+               "efd8fa4b7807ed6920e6c38001b997bd96a44fb78ba634d7f51fa6303a6bf06f"),
+    "no_gate": ("cd621ba9e1321dbfffa0bae9437e2c1c21e4abee9a800b2f53d1a81e16c87619",
+                "7a94f63ae4db2ec7ef047e620f4217a78a3349615749b87359d9a1136a90323a"),
+    "no_freeze": ("9c8347b010391cb16e4ec75e615fe1be7b9ccafd4780fb5c07c5a87edf39c6fd",
+                  "7a94f63ae4db2ec7ef047e620f4217a78a3349615749b87359d9a1136a90323a"),
+    "drop_expert": ("d809972dafe4519a0d73ecd3dc7283d6e9dfc658e77bda8f2ac8aa1a7afda613",
+                    "cc67340a7767bca47fdb948d5970183011b39f47c6e6a370822da62b3c722106"),
+    "two_phase": ("7bcc84df4bd7ec7109a658c7eb7e6f723bb3609018ef0d050ff9ecf098bde5fc",
+                  "dd8c091d10653a43653e7e14b54d0e9b6eb0e3f819724458b807efeea666d9fd"),
 }
 
 # mode: (records, server cache state), dropout 0.0

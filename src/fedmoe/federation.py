@@ -297,20 +297,22 @@ def _target_nll(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return -np.log(picked.astype(np.float64) + moe_mod.EPS_FLOOR)
 
 
-def _client_scores(client: ClientState, prefixes: np.ndarray, targets: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def _client_scores(client: ClientState, prefixes: np.ndarray, targets: np.ndarray,
+                   tables: list[Tensor]) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Fused item distribution (batch, num_items), per-sample gate weights,
-    and the target NLL under each branch alone (batch, num_branches)."""
+    and the target NLL under each branch alone (batch, num_branches).
+
+    tables holds each branch's lookup table, in branch order, built once
+    for all the chunks of a split."""
     adj = client.dataset.adjacency
-    if not client.global_branches:
-        _, logits = encode_batch(client.local, adj, prefixes)
-        probs = ad.softmax(logits, axis=-1).data
-        return probs, None, _target_nll(probs, targets)[:, None]
     z_list, prob_list = [], []
-    for branch in client.branches_in_order():
-        z, logits = encode_batch(branch, adj, prefixes)
+    for branch, table in zip(client.branches_in_order(), tables):
+        z, logits = encode_batch(branch, adj, prefixes, table=table)
         z_list.append(z)
         prob_list.append(ad.softmax(logits, axis=-1))
+    if not client.global_branches:
+        probs = prob_list[0].data
+        return probs, None, _target_nll(probs, targets)[:, None]
     if client.gate is not None:
         weights = gate_forward(z_list, client.gate)
     else:
@@ -326,6 +328,8 @@ def evaluate_client(client: ClientState, split: str) -> DomainMetrics:
     the gate's choice can be checked against the expert that is better."""
     cfg = client.cfg
     prefixes, targets = client.dataset.eval_arrays(split)
+    tables = [lookup_table(branch, client.dataset.adjacency)
+              for branch in client.branches_in_order()]
     ranks = []
     gate_sum = None
     nll_sum = 0.0
@@ -333,7 +337,7 @@ def evaluate_client(client: ClientState, split: str) -> DomainMetrics:
     for start in range(0, len(targets), cfg.eval_batch):
         chunk = prefixes[start:start + cfg.eval_batch]
         tgt = targets[start:start + cfg.eval_batch]
-        scores, gates, branch_nll = _client_scores(client, chunk, tgt)
+        scores, gates, branch_nll = _client_scores(client, chunk, tgt, tables)
         for i in range(len(tgt)):
             exclude = set(int(x) for x in chunk[i] if x) if cfg.exclude_seen else None
             if exclude and int(tgt[i]) in exclude:

@@ -356,7 +356,9 @@ class TestConfigKnobs:
             assert client.gate.hidden_weight.name == "gate.hidden"
             assert client.gate.hidden_weight.data.tobytes() != before[client.domain_id]
             prefixes, targets = client.dataset.eval_arrays("test")
-            _, gates, _ = federation._client_scores(client, prefixes, targets)
+            tables = [expert.lookup_table(b, client.dataset.adjacency)
+                      for b in client.branches_in_order()]
+            _, gates, _ = federation._client_scores(client, prefixes, targets, tables)
             assert gates.shape == (len(targets), 3)
             np.testing.assert_allclose(gates.sum(axis=1), 1.0, rtol=1e-5)
 

@@ -179,6 +179,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg = RunConfig.load(run_dir / "resolved_config.json")
+    cfg.validate()
     scenario = _load_scenario_from_config(cfg)
     dtype = np.float64 if cfg.precision == "float64" else np.float32
     with ad.default_dtype(dtype):

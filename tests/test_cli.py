@@ -155,6 +155,25 @@ class TestErrorPaths:
         assert not (tmp_path / "runs").exists()
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [({"rounds": 0}, "rounds must be >= 1"),
+                                               ({"mode": "bogus"}, "unknown mode")],
+                             ids=["rounds-0", "unknown-mode"])
+    def test_eval_rejects_an_invalid_config_before_building(self, data_dir, tmp_path,
+                                                            monkeypatch, capsys, edit, message):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--scenario", str(data_dir / "scenario.json"),
+                     "--out-dir", str(run_dir)] + FAST) == 0
+        path = run_dir / "resolved_config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+
+        def no_scenario(*args, **kwargs):
+            raise AssertionError("eval built a scenario from an invalid config")
+
+        monkeypatch.setattr("fedmoe.cli._load_scenario_from_config", no_scenario)
+        capsys.readouterr()
+        assert main(["eval", str(run_dir), "--split", "test"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_conflicting_sources_exit_2(self, data_dir, tmp_path, capsys):
         cfg = {"scenario_manifest": str(data_dir / "scenario.json"),
                "synthetic": {"num_domains": 2, "items_per_domain": 30,

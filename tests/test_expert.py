@@ -222,7 +222,7 @@ class TestFinalPositionPath:
         feed-forward's real rows; a final-only block: (batch, heads, t)
         weights and (batch, ff) rows."""
         b, t = self.PREFIXES.shape
-        n_real, ff = int((self.PREFIXES != 0).sum()), 16
+        n_real, ff = int((self.PREFIXES != 0).sum()), 16  # width 8 x ff_mult 2
         full = blocks - 1 if final_only else blocks
         count = full * (b * heads * t * t + n_real * ff)
         if final_only:

@@ -117,6 +117,8 @@ class RunConfig:
                          ("t_max", 1), ("eval_batch", 1)):
             if getattr(self, name) < lo:
                 raise ConfigError(f"{name} must be >= {lo}")
+        if self.seed < 0:  # SeedSequence takes non-negative integers only
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.patience < 0 or self.gnn_depth < 0 or self.pretrain_epochs < 0:
             raise ConfigError("patience, gnn_depth, pretrain_epochs must be >= 0")
         if self.width % self.heads:

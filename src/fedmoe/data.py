@@ -6,15 +6,25 @@ in time order. A scenario manifest (JSON) lists domain ids and file
 paths. The synthetic generator writes the same format, so generated and
 user-supplied scenarios go through one pipeline.
 
-Set-up works on arrays. The synthetic generator draws one bounded integer
-and then one uniform per item, the words ``Generator.choice`` consumed, so
-a seed gives the same scenario bytes as in earlier releases. It does not
-make those scalar calls: they only consume the 64-bit words of the
-generator's PCG64, so ``_Words`` fetches the words in chunks with
-``random_raw`` and makes the same numbers of them in plain Python.
+Set-up works on arrays. The synthetic generator makes the draws of one
+bounded integer and then one uniform per item, the words
+``Generator.choice`` consumed, so a seed gives the same scenario bytes as
+in earlier releases. Those calls only consume the 64-bit words of the
+generator's PCG64, which ``_Words`` fetches with ``random_raw``.
 ``integers(n)`` is numpy's 32-bit Lemire multiply-and-reject draw over a
-half-word buffer (a word's low half now, its high half at the next draw),
-``random()`` a whole word's top 53 bits over 2**53, and closing the source
+half-word buffer (a word's low half now, its high half at the next draw)
+and ``random()`` a whole word's top 53 bits over 2**53. Unless a product
+is rejected, a user's item j takes the low half of a new word when H + j
+is even, H being 1 when the buffer is full at the user's first item, and
+the kept high half otherwise, and its uniform takes the next whole word:
+every item's words sit at positions known once the user's length and
+start-cluster draws are made. One pass over users makes those draws, and
+the chain and member draws then run for all users at once in ``uint64``
+arrays, one item position at a time. Draws with no fixed position go
+through ``_Words`` one at a time: a user whose draws hit a rejected
+product (a draw bounded by n rejects with a chance below n / 2**32), and
+every user of a domain with a one-member cluster, whose member draw
+takes nothing. Closing the source
 rewinds the generator to where the scalar calls would have left it,
 buffer included; numpy leaves a used half in the buffer's ``uinteger``
 field, so that is kept too. Each split is three read-only arrays
@@ -28,7 +38,6 @@ import dataclasses
 import itertools
 import json
 from bisect import bisect_right
-from operator import length_hint
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +211,11 @@ def withheld_count(n: int, ratio: float = 0.2) -> int:
     return min(n - 1, max(2, round(ratio * n)))
 
 
+def withheld_counts(lengths: np.ndarray, ratio: float = 0.2) -> np.ndarray:
+    """``withheld_count`` of every length at once; both round half to even."""
+    return np.minimum(lengths - 1, np.maximum(2, np.round(ratio * lengths))).astype(np.int64)
+
+
 def split_positions(lengths, ratio: float = 0.2
                     ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(user rows, positions) of the train, valid and test samples of users
@@ -212,7 +226,7 @@ def split_positions(lengths, ratio: float = 0.2
     predecessor is a training sample.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    withheld = np.array([withheld_count(int(n), ratio) for n in lengths], dtype=np.int64)
+    withheld = withheld_counts(lengths, ratio)
     first = lengths - withheld
     return (_runs(np.ones_like(first), first - 1, 1),
             _runs(first, (withheld + 1) // 2, 2),
@@ -251,11 +265,9 @@ def split_dataset(sequences: list[tuple[str, list[int]]], ratio: float = 0.2,
 def train_portions(sequences: list[tuple[str, list[int]]], ratio: float = 0.2
                    ) -> list[list[int]]:
     """The per-user item runs the adjacency may be built from."""
-    portions = []
-    for _, items in sequences:
-        w = withheld_count(len(items), ratio)
-        portions.append(items[:len(items) - w])
-    return portions
+    lengths = np.array([len(items) for _, items in sequences], dtype=np.int64)
+    kept = (lengths - withheld_counts(lengths, ratio)).tolist()
+    return [items[:n] for (_, items), n in zip(sequences, kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +416,8 @@ class SyntheticSpec:
             raise ConfigError("need at least one item per cluster")
         if self.users_per_domain < 1:
             raise ConfigError(f"users_per_domain must be at least 1, got {self.users_per_domain}")
+        if self.seed < 0:  # SeedSequence takes non-negative integers only
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def _peaked_chain(rng: np.random.Generator, c: int) -> np.ndarray:
@@ -430,64 +444,211 @@ def _choice_cdf(p: np.ndarray) -> list[float]:
 
 
 class _Words:
-    """A PCG64 generator's 64-bit words, fetched ``CHUNK`` at a time with
-    ``random_raw`` and turned into the numbers its scalar calls make.
+    """A PCG64 generator's 64-bit words, fetched with ``random_raw``, and
+    the numbers its scalar calls make from them.
 
     ``bounded(n)`` equals ``integers(n)`` for 1 <= n <= 2**32: numpy's
     32-bit Lemire draw over the generator's half-word buffer (a word's low
     half is used first and its high half kept for the next draw), with the
     rejection loop, and nothing drawn for n == 1. ``unit()`` equals
     ``random()``: the next whole word's top 53 bits, buffer untouched.
-    ``close()`` leaves the generator where those scalar calls would have.
+    ``ahead(n)`` shows at least n unused words for a caller that places
+    draws itself, and ``skip`` moves past the words it used and sets the
+    buffer. ``close()`` leaves the generator where those scalar calls would
+    have.
     """
 
-    CHUNK = 4096  # words per fetch, 32 KB
+    CHUNK = 4096  # words per fetch for scalar draws, 32 KB
 
     def __init__(self, rng: np.random.Generator):
         self._bitgen = rng.bit_generator
         assert isinstance(self._bitgen, np.random.PCG64)
-        state = self._bitgen.state
-        self._has_half, self._half = state["has_uint32"], state["uinteger"]
-        self._fetch()
+        self._opened = self._bitgen.state
+        self.has_half, self.half = self._opened["has_uint32"], self._opened["uinteger"]
+        self._raw = np.empty(0, dtype=np.uint64)
+        self._next = 0     # the cursor in _raw
+        self._dropped = 0  # words used before _raw[0]
 
-    def _fetch(self) -> None:
-        self._saved = self._bitgen.state
-        self._words = iter(self._bitgen.random_raw(self.CHUNK).tolist())
+    def ahead(self, n: int) -> np.ndarray:
+        """The unused words from the cursor on, at least n of them."""
+        have = len(self._raw) - self._next
+        if have < n:
+            fresh = self._bitgen.random_raw(max(n - have, self.CHUNK))
+            self._dropped += self._next
+            self._raw, self._next = np.concatenate([self._raw[self._next:], fresh]), 0
+        return self._raw[self._next:]
+
+    def skip(self, count: int, has_half: int, half: int) -> None:
+        """Mark ``count`` words used and set the half-word buffer."""
+        self._next += count
+        self.has_half, self.half = has_half, half
+
+    def _word(self) -> int:
+        word = int(self.ahead(1)[0])
+        self._next += 1
+        return word
 
     def bounded(self, n: int) -> int:
         if n == 1:
             return 0
         while True:
-            if self._has_half:
-                self._has_half = 0
-                m = self._half * n
+            if self.has_half:
+                self.has_half = 0
+                m = self.half * n
             else:
-                word = next(self._words, None)
-                if word is None:
-                    self._fetch()
-                    word = next(self._words)
-                self._has_half, self._half = 1, word >> 32
+                word = self._word()
+                self.has_half, self.half = 1, word >> 32
                 m = (word & 0xFFFFFFFF) * n
             # reject the low products that would bias the result
             if (m & 0xFFFFFFFF) >= n or (m & 0xFFFFFFFF) >= (1 << 32) % n:
                 return m >> 32
 
     def unit(self) -> float:
-        word = next(self._words, None)
-        if word is None:
-            self._fetch()
-            word = next(self._words)
-        return (word >> 11) * (1.0 / 9007199254740992.0)
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
 
     def close(self) -> None:
-        """Rewind to the last fetch, advance by the words used since, and
-        set the half-word buffer; numpy keeps a used half as ``uinteger``."""
+        """Rewind to the opening state, advance by the words used since,
+        and set the half-word buffer; numpy keeps a used half as
+        ``uinteger``."""
         bitgen = self._bitgen
-        bitgen.state = self._saved
-        bitgen.advance(self.CHUNK - length_hint(self._words))
+        bitgen.state = self._opened
+        bitgen.advance(self._dropped + self._next)
         state = bitgen.state
-        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        state["has_uint32"], state["uinteger"] = self.has_half, self.half
         bitgen.state = state
+
+
+@dataclasses.dataclass(frozen=True)
+class _Clusters:
+    """A domain's items grouped by cluster, and its chain: cluster k's
+    members are ``order[offsets[k]:offsets[k] + sizes[k]]``, in item
+    order, and ``cdf[k]`` is the CDF of its chain row."""
+
+    order: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray  # uint64, the Lemire draws' bounds
+    cdf: np.ndarray
+
+    @classmethod
+    def of(cls, assignment: np.ndarray, cdfs: list[list[float]]) -> "_Clusters":
+        sizes = np.bincount(assignment, minlength=len(cdfs)).astype(np.uint64)
+        return cls(np.argsort(assignment, kind="stable"),
+                   (np.cumsum(sizes) - sizes).astype(np.int64), sizes, np.array(cdfs))
+
+
+_LOW = 0xFFFFFFFF
+
+
+def _placed_users(words: _Words, spec: SyntheticSpec, clusters: _Clusters, count: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``count`` users drawn by word position, stopping before the
+    first one whose draws hit a rejected Lemire product; the cursor is
+    left after the last user placed. Returns the placed users' item ids,
+    flattened in user order, and their lengths.
+
+    Every cluster must have at least two members, so that every member
+    draw takes a half-word. One pass over users makes the length and
+    start-cluster draws and notes where each user's items start: word P,
+    with the half-word buffer full (H = 1) or empty. Item j's member draw
+    then takes the low half of a new word when H + j is even, and
+    otherwise the high half of the word fetched before it (word P - 1 for
+    j = 0); its uniform takes the next whole word. With every position
+    known, the chain and the member draws run for all users at once, one
+    item position at a time.
+    """
+    lo, hi, c = spec.min_len, spec.max_len, spec.num_clusters
+    span = hi - lo + 1
+    span_threshold, c_threshold = (1 << 32) % span, (1 << 32) % c
+    # a user takes at most one word for its first two draws and hi + hi / 2 for its
+    # items; the rest covers reads at positions past the last user's length
+    raw = words.ahead(count * (hi + (hi + 3) // 2) + 2 * hi + 2)
+    p, h, half = 0, words.has_half, words.half
+    starts, firsts = [], []  # per user: the cursor before its draws; (P, H, length, cluster)
+    for _ in range(count):
+        starts.append((p, h, half))
+        if span > 1:  # a length draw and a cluster draw take one new word either way
+            word = int(raw[p])
+            p += 1
+            x_len, x_c = (half, word & _LOW) if h else (word & _LOW, word >> 32)
+            half = word >> 32
+        elif h:  # only the cluster draw
+            x_len, x_c, h = 0, half, 0
+        else:
+            word = int(raw[p])
+            p += 1
+            x_len, x_c, h, half = 0, word & _LOW, 1, word >> 32
+        m_len, m_c = x_len * span, x_c * c
+        if m_len & _LOW < span_threshold or m_c & _LOW < c_threshold:
+            break
+        length = lo + (m_len >> 32)
+        firsts.append((p, h, length, m_c >> 32))
+        fresh = (length + 1 - h) // 2  # items whose member draw takes a new word
+        h ^= length & 1
+        if fresh:  # the high half of the last new word
+            half = int(raw[p + length + fresh - 3 + h]) >> 32
+        p += length + fresh
+    else:
+        starts.append((p, h, half))
+    first_p, first_h, lengths, k = np.array(firsts, dtype=np.int64).reshape(-1, 4).T
+    j = np.arange(hi)
+    even = (first_h[:, None] + j) % 2 == 0
+    at = first_p[:, None] + j + (j + 1 - first_h[:, None]) // 2
+    fetched = raw[np.where(even, at, at - 2 + (j == 0))]
+    x = np.where(even, fetched & _LOW, fetched >> 32)
+    uniform = (raw[at + even] >> 11) * (1.0 / 9007199254740992.0)
+    path = np.empty((len(firsts), hi), dtype=np.int64)
+    for t in range(hi):
+        path[:, t] = k
+        k = np.count_nonzero(clusters.cdf[k] <= uniform[:, t, None], axis=1)  # bisect_right
+    m = x * clusters.sizes[path]
+    thresholds = (1 << 32) % clusters.sizes
+    active = j < lengths[:, None]
+    rejected = np.flatnonzero(((m & _LOW < thresholds[path]) & active).any(axis=1))
+    placed = int(rejected[0]) if rejected.size else len(firsts)
+    members = clusters.offsets[path[:placed]] + (m[:placed] >> 32).astype(np.int64)
+    ids, lengths = clusters.order[members[active[:placed]]], lengths[:placed]
+    words.skip(*starts[placed])
+    return ids, lengths
+
+
+def _user_by_words(words: _Words, spec: SyntheticSpec, clusters: _Clusters) -> list[int]:
+    """One user's item ids from the scalar draws."""
+    length = spec.min_len + words.bounded(spec.max_len - spec.min_len + 1)
+    k = words.bounded(spec.num_clusters)
+    items = []
+    for _ in range(length):
+        member = words.bounded(int(clusters.sizes[k]))
+        items.append(int(clusters.order[clusters.offsets[k] + member]))
+        k = bisect_right(clusters.cdf[k], words.unit())
+    return items
+
+
+def _draw_users(words: _Words, spec: SyntheticSpec, clusters: _Clusters
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The item ids of a domain's users, flattened in user order, and the
+    users' lengths.
+
+    Users are placed by word position (``_placed_users``) up to one whose
+    draws hit a rejected product; that user is drawn by ``words`` one draw
+    at a time, and placing resumes after it. A one-member cluster's member
+    draw takes no half-word, so no item position is fixed in advance: a
+    domain that has one is drawn one draw at a time throughout.
+    """
+    users, done = spec.users_per_domain, 0
+    ids, lengths = [], []
+    while done < users:
+        if clusters.sizes.min() > 1:
+            placed_ids, placed_lengths = _placed_users(words, spec, clusters, users - done)
+            ids.append(placed_ids)
+            lengths.append(placed_lengths)
+            done += len(placed_lengths)
+            if done == users:
+                break
+        items = _user_by_words(words, spec, clusters)
+        ids.append(np.array(items, dtype=np.int64))
+        lengths.append([len(items)])
+        done += 1
+    return np.concatenate(ids), np.concatenate(lengths)
 
 
 def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, list[str]]]]:
@@ -503,15 +664,21 @@ def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, lis
     so scenarios are byte-identical to those of earlier releases, which
     called ``choice`` per item.
 
-    The set-up draws and the shuffle are numpy calls. The per-user draws of
-    a domain come from a ``_Words`` source opened after its shuffle and
-    closed before the next domain draws: each ``integers(n)`` takes a
-    half-word from the generator's buffer or the low half of a new word
-    (keeping the high half), maps it by Lemire's multiply-and-reject, and
-    draws nothing for n == 1; each ``random()`` takes a whole word. The
-    source serves the very words the scalar calls would have, and on close
-    sets the generator's state, buffer and stale ``uinteger`` included, to
-    theirs, so every scenario and every later draw is unchanged.
+    The set-up draws and the shuffle are numpy calls. A domain's user draws
+    come from a ``_Words`` source opened after its shuffle and closed
+    before the next domain draws. Users are placed by word position
+    (``_placed_users``): a scalar pass over users makes the length and
+    start-cluster draws and notes where each user's items start, and the
+    chain and member draws then run for all users at once. The next
+    cluster is the count of CDF entries <= the uniform, which is what
+    ``bisect_right`` returns, and the member is the Lemire draw in
+    ``uint64``. A user with a rejected product is drawn through ``_Words``
+    one draw at a time and placing resumes after it; a domain with a
+    one-member cluster, possible only with fewer than two items per
+    cluster, is drawn that way throughout. On close the source sets the
+    generator's state, buffer and stale ``uinteger`` included, to where the
+    scalar calls would have left it, so every scenario and every later
+    draw is unchanged.
     """
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
@@ -523,24 +690,16 @@ def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, lis
         private = _peaked_chain(rng, c)
         chain = spec.correlation * shared + (1.0 - spec.correlation) * private
         cdfs = [_choice_cdf(row) for row in chain]
-        clusters = np.arange(spec.items_per_domain) % c
-        rng.shuffle(clusters)
-        tokens = [f"{domain_id}:i{i}" for i in range(spec.items_per_domain)]
-        members = [[tokens[i] for i in np.flatnonzero(clusters == k)] for k in range(c)]
-        sizes = [len(m) for m in members]
+        assignment = np.arange(spec.items_per_domain) % c
+        rng.shuffle(assignment)
         words = _Words(rng)
-        bounded, unit = words.bounded, words.unit
-        rows = []
-        for u in range(spec.users_per_domain):
-            length = spec.min_len + bounded(spec.max_len - spec.min_len + 1)
-            k = bounded(c)
-            items = []
-            for _ in range(length):
-                items.append(members[k][bounded(sizes[k])])
-                k = bisect_right(cdfs[k], unit())
-            rows.append((f"{domain_id}:u{u}", items))
+        ids, lengths = _draw_users(words, spec, _Clusters.of(assignment, cdfs))
         words.close()
-        scenario[domain_id] = rows
+        tokens = np.array([f"{domain_id}:i{i}" for i in range(spec.items_per_domain)],
+                          dtype=object)[ids].tolist()
+        ends = np.cumsum(lengths).tolist()
+        scenario[domain_id] = [(f"{domain_id}:u{u}", tokens[end - n:end])
+                               for u, (end, n) in enumerate(zip(ends, lengths.tolist()))]
     return scenario
 
 

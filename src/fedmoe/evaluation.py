@@ -78,14 +78,13 @@ def rank_target(scores: np.ndarray, target: int, exclude: set[int] | None = None
         raise ValueError(f"target {target} is excluded from the candidate set")
     t_idx = target - 1
     t_score = scores[t_idx]
-    greater = scores > t_score
-    tied_smaller = np.zeros(n, dtype=bool)
-    tied_smaller[:t_idx] = scores[:t_idx] == t_score
-    competing = greater | tied_smaller
+    # items scored above the target, and tied items with a smaller id
+    rank = 1 + np.count_nonzero(scores > t_score) + np.count_nonzero(scores[:t_idx] == t_score)
     if exclude:
-        drop = np.array([e - 1 for e in exclude if 1 <= e <= n], dtype=np.int64)
-        competing[drop] = False
-    return 1 + int(competing.sum())
+        drop = np.array([e - 1 for e in set(exclude) if 1 <= e <= n], dtype=np.int64)
+        dropped = scores[drop]
+        rank -= np.count_nonzero((dropped > t_score) | ((dropped == t_score) & (drop < t_idx)))
+    return int(rank)
 
 
 def hr_at_k(ranks, k: int) -> float:

@@ -133,6 +133,17 @@ class TestErrorPaths:
         assert main(["train", "--mode", "fmoe"]) == 2
         assert "no data source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["generate-data"], ["train", "--synthetic", "default"]])
+    def test_negative_seed_exit_2_before_any_draw(self, tmp_path, monkeypatch, capsys, command):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made for a negative seed")
+
+        monkeypatch.setattr("numpy.random.default_rng", no_draws)
+        out_dir = tmp_path / "out"
+        assert main(command + ["--seed", "-1", "--out-dir", str(out_dir)]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["train", "--warp-speed", "9"]) == 2
 

@@ -7,6 +7,7 @@ reference implementations; the array code must reproduce them exactly.
 
 import dataclasses
 import hashlib
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -239,6 +240,13 @@ class TestSplit:
         assert first[-1] == 3 and first[:-1].sum() == 0
         assert train.targets[0] == 4
 
+    @pytest.mark.parametrize("ratio", [0.0, 0.05, 0.1, 0.125, 0.2, 0.25, 0.35, 0.5, 0.75, 0.9])
+    def test_withheld_counts_match_the_scalar_count(self, ratio):
+        # ratio * n lands on a half for many n here, where both round to even
+        lengths = np.arange(1, 2000)
+        np.testing.assert_array_equal(data.withheld_counts(lengths, ratio),
+                                      [data.withheld_count(int(n), ratio) for n in lengths])
+
     def test_prefix_truncated_to_window(self):
         items = list(range(1, 30))
         # 29 items withhold 6: valid positions 23, 25, 27 and test 24, 26, 28
@@ -341,6 +349,8 @@ class TestSynthetic:
             data.SyntheticSpec(correlation=1.5).validate()
         with pytest.raises(ConfigError):
             data.SyntheticSpec(num_domains=1).validate()
+        with pytest.raises(ConfigError, match="seed"):
+            data.SyntheticSpec(seed=-1).validate()
 
     @pytest.mark.parametrize("users", [0, -3])
     def test_no_users_rejected_before_any_draw(self, users, made_generators):
@@ -577,6 +587,85 @@ class TestWords:
         assert sum((h * REJECTING) & 0xFFFFFFFF < threshold for h in halves) > 10
         assert_words_match_scalar_calls([REJECTING] * 100 + [0, REJECTING, 1] * 20,
                                         seed=3, warm_up=warm_up)
+
+
+# ---------------------------------------------------------------------------
+# users placed by word position against the scalar draws
+# ---------------------------------------------------------------------------
+
+
+def scalar_users(words, spec, assignment, cdfs):
+    """Every user's items from ``words``' scalar draws, and the rejected
+    products met, counted for the first two draws and for member draws."""
+    c = spec.num_clusters
+    members = [np.flatnonzero(assignment == k) for k in range(c)]
+    rejected = {"first": 0, "member": 0}
+
+    def draw(n, kind):
+        before = 2 * (words._dropped + words._next) - words.has_half  # half-words used
+        value = words.bounded(n)
+        used = 2 * (words._dropped + words._next) - words.has_half - before
+        rejected[kind] += n > 1 and used > 1
+        return value
+
+    ids, lengths = [], []
+    for _ in range(spec.users_per_domain):
+        length = spec.min_len + draw(spec.max_len - spec.min_len + 1, "first")
+        k = draw(c, "first")
+        for _ in range(length):
+            ids.append(int(members[k][draw(len(members[k]), "member")]))
+            k = bisect_right(cdfs[k], words.unit())
+        lengths.append(length)
+    return ids, lengths, rejected
+
+
+class TestPlacedUsers:
+    @pytest.mark.parametrize("min_len, max_len", [(4, 10), (6, 6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rejected_products_are_drawn_like_words(self, seed, min_len, max_len):
+        # clusters of 7, 3 clusters and 7 lengths: no bound is a power of two,
+        # so a zero half-word is a rejected product in every kind of draw
+        spec = data.SyntheticSpec(num_domains=2, items_per_domain=21, users_per_domain=120,
+                                  min_len=min_len, max_len=max_len, num_clusters=3, seed=seed)
+        setup = np.random.default_rng(seed)
+        assignment = np.arange(21) % 3
+        setup.shuffle(assignment)
+        cdfs = [data._choice_cdf(row) for row in data._peaked_chain(setup, 3)]
+        planted = setup.random((2, data._Words.CHUNK)) < 0.08
+        generators, sources = [], []
+        for _ in range(2):
+            generators.append(np.random.default_rng(100 + seed))
+            sources.append(data._Words(generators[-1]))
+            raw = sources[-1].ahead(data._Words.CHUNK)
+            raw[planted[0]] &= np.uint64(0xFFFFFFFF00000000)  # zero low halves
+            raw[planted[1]] &= np.uint64(0xFFFFFFFF)          # zero high halves
+        ids, lengths = data._draw_users(sources[0], spec, data._Clusters.of(assignment, cdfs))
+        expected_ids, expected_lengths, rejected = scalar_users(sources[1], spec, assignment,
+                                                                cdfs)
+        assert rejected["first"] > 0 and rejected["member"] > 0
+        assert ids.tolist() == expected_ids and lengths.tolist() == expected_lengths
+        for words in sources:
+            words.close()
+        assert generators[0].bit_generator.state == generators[1].bit_generator.state
+
+    @given(st.data(), st.integers(2, 3), st.integers(2, 8), st.integers(1, 60),
+           st.integers(1, 8), st.integers(0, 8), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_specs_match_the_choice_stream(self, draw, domains, clusters, users,
+                                                  min_len, extra, correlation, seed):
+        spec = data.SyntheticSpec(num_domains=domains, num_clusters=clusters,
+                                  items_per_domain=draw.draw(st.integers(clusters, 80)),
+                                  users_per_domain=users, min_len=min_len,
+                                  max_len=min_len + extra, correlation=correlation, seed=seed)
+        made = []
+        real = np.random.default_rng
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "default_rng", lambda *a: made.append(real(*a)) or made[-1])
+            expected = reference_raw_sequences(spec)
+            got = data.generate_raw_sequences(spec)
+        assert got == expected
+        ref_rng, rng = made
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSplitArrays:

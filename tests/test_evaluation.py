@@ -46,6 +46,15 @@ class TestRankTarget:
         scores = np.array([0.9, 0.8, 0.7])
         assert ev.rank_target(scores, 3, exclude={1, 2}) == 1
 
+    def test_exclusions_outside_the_catalog_are_ignored(self):
+        scores = np.array([0.5, 0.5, 0.5, 0.9, 0.5])
+        # item 4 scores above the target; items 1 and 2 tie with it at smaller ids
+        assert ev.rank_target(scores, 3) == 4
+        assert ev.rank_target(scores, 3, exclude={0, -1, 6, 99}) == 4
+        # excluded ties, before and after the target, no longer rank above it
+        assert ev.rank_target(scores, 3, exclude={1, 5, 0, 7}) == 3
+        assert ev.rank_target(scores, 3, exclude={1, 2, 4, 5, 6}) == 1
+
     def test_excluded_target_rejected(self):
         with pytest.raises(ValueError):
             ev.rank_target(np.ones(3), 2, exclude={2})

@@ -107,13 +107,19 @@ def checkpoint_from_params(params) -> ExpertCheckpoint:
 
 
 def load_into_params(ckpt: ExpertCheckpoint, params, dtype=None) -> None:
-    """Copy checkpoint values into matching parameters by name."""
+    """Copy checkpoint values into matching parameters by name.
+
+    Every name and shape is checked before the first parameter is
+    written, so a checkpoint that does not fit changes nothing.
+    """
     by_name = {p.name: p for p in params}
     if set(by_name) != set(ckpt.names):
         missing = set(by_name) ^ set(ckpt.names)
         raise ValueError(f"checkpoint/parameter name mismatch: {sorted(missing)}")
     for name, arr in ckpt.entries:
+        if by_name[name].data.shape != arr.shape:
+            raise ValueError(f"{name}: shape {arr.shape} does not match "
+                             f"{by_name[name].data.shape}")
+    for name, arr in ckpt.entries:
         p = by_name[name]
-        if p.data.shape != arr.shape:
-            raise ValueError(f"{name}: shape {arr.shape} does not match {p.data.shape}")
         p.tensor.data = arr.astype(dtype or p.data.dtype)

@@ -185,9 +185,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with ad.default_dtype(dtype):
         clients = [federation.build_client(scenario, d, cfg)
                    for d in sorted(scenario.domain_ids)]
-        for client in clients:
-            ckpt = ExpertCheckpoint.load(run_dir / "states" / f"{client.domain_id}.state.ckpt")
-            client.restore_parameters({n: a for n, a in ckpt.entries})
+        for client in clients:  # every state is loaded before any scoring
+            path = run_dir / "states" / f"{client.domain_id}.state.ckpt"
+            try:
+                client.restore_parameters(dict(ExpertCheckpoint.load(path).entries))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
         report = federation.evaluate_all(clients, args.split, 0, cfg.mode)
     print(render_table([report], sorted(report.per_domain)))
     return 0

@@ -6,38 +6,47 @@ in time order. A scenario manifest (JSON) lists domain ids and file
 paths. The synthetic generator writes the same format, so generated and
 user-supplied scenarios go through one pipeline.
 
-Set-up works on arrays. The synthetic generator makes the draws of one
-bounded integer and then one uniform per item, the words
-``Generator.choice`` consumed, so a seed gives the same scenario bytes as
-in earlier releases. Those calls only consume the 64-bit words of the
-generator's PCG64, which ``_Words`` fetches with ``random_raw``.
-``integers(n)`` is numpy's 32-bit Lemire multiply-and-reject draw over a
-half-word buffer (a word's low half now, its high half at the next draw)
-and ``random()`` a whole word's top 53 bits over 2**53. Unless a product
-is rejected, a user's item j takes the low half of a new word when H + j
-is even, H being 1 when the buffer is full at the user's first item, and
-the kept high half otherwise, and its uniform takes the next whole word:
-every item's words sit at positions known once the user's length and
-start-cluster draws are made. One pass over users makes those draws, and
-the chain and member draws then run for all users at once in ``uint64``
-arrays, one item position at a time. Draws with no fixed position go
-through ``_Words`` one at a time: a user whose draws hit a rejected
-product (a draw bounded by n rejects with a chance below n / 2**32), and
-every user of a domain with a one-member cluster, whose member draw
-takes nothing. Closing the source
-rewinds the generator to where the scalar calls would have left it,
-buffer included; numpy leaves a used half in the buffer's ``uinteger``
-field, so that is kept too. Each split is three read-only arrays
-(``Split``) cut by one fancy index from a padded item matrix, and the
-adjacency's edges come from one ``np.unique`` over integer codes.
+That pipeline works on integer arrays: a domain's item codes, flattened
+in user order, and its users' lengths. A parsed file's tokens are coded
+0, 1, ... by first appearance (``code_rows``); the generator hands over
+the item ids it drew and makes no token for a dropped item. One builder
+(``build_domain``) takes the arrays from there. It runs the rarity and
+length filter as ``bincount`` passes to a fixed point, numbers the
+surviving items 1..n by first appearance in one ``np.minimum.at`` pass,
+and cuts each split (``Split``, three read-only arrays) by one fancy
+index from a padded item matrix. The adjacency's edges are each training
+target and the item before it, deduplicated by one sort over integer
+codes. Strings are made only for surviving users and items.
+
+The synthetic generator makes the draws of one bounded integer and then
+one uniform per item, the words ``Generator.choice`` consumed, so a seed
+gives the same scenario bytes as in earlier releases. Those calls only
+consume the 64-bit words of the generator's PCG64, which ``_Words``
+fetches with ``random_raw``. ``integers(n)`` is numpy's 32-bit Lemire
+multiply-and-reject draw over a half-word buffer (a word's low half now,
+its high half at the next draw) and ``random()`` a whole word's top 53
+bits over 2**53. Unless a product is rejected, a user's item j takes the
+low half of a new word when H + j is even, H being 1 when the buffer is
+full at the user's first item, and the kept high half otherwise, and its
+uniform takes the next whole word: every item's words sit at positions
+known once the user's length and start-cluster draws are made. One pass
+over users makes those draws, and the chain and member draws then run
+for all users at once in ``uint64`` arrays, one item position at a time.
+Draws with no fixed position go through ``_Words`` one at a time: a user
+whose draws hit a rejected product (a draw bounded by n rejects with a
+chance below n / 2**32), and every user of a domain with a one-member
+cluster, whose member draw takes nothing. Closing the source rewinds the
+generator to where the scalar calls would have left it, buffer included;
+numpy leaves a used half in the buffer's ``uinteger`` field, so that is
+kept too.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 from bisect import bisect_right
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -157,47 +166,80 @@ def parse_domain_file(path) -> list[tuple[str, list[str]]]:
     return rows
 
 
-def filter_sequences(rows: list[tuple[str, list[str]]], cfg: DataConfig
-                     ) -> list[tuple[str, list[str]]]:
+def code_rows(rows: list[tuple[str, list[str]]]
+              ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Parsed rows as flat integer codes, numbered 0, 1, ... in order of
+    first appearance, the rows' lengths, and the token of each code."""
+    vocab: dict[str, int] = {}
+    codes = [vocab.setdefault(it, len(vocab)) for _, items in rows for it in items]
+    lengths = [len(items) for _, items in rows]
+    return np.array(codes, dtype=np.int64), np.array(lengths, dtype=np.int64), list(vocab)
+
+
+def _rows(users: list[str], flat: list, lengths: np.ndarray) -> list[tuple[str, list]]:
+    """Flat items cut back into one (user, items) row per length."""
+    ends = np.cumsum(lengths).tolist()
+    return [(u, flat[end - n:end]) for u, end, n in zip(users, ends, lengths.tolist())]
+
+
+def filter_codes(codes: np.ndarray, lengths: np.ndarray, cfg: DataConfig
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterate rarity and length rules until nothing changes.
 
-    Items with fewer than min_interactions occurrences are dropped from
-    all sequences, users falling under the floor or outside the length
-    window are dropped, and the pass repeats: the output is a fixed
-    point of the filter.
+    ``codes`` holds every user's item codes, flattened in user order, and
+    ``lengths`` the users' counts. Items with fewer than min_interactions
+    occurrences are dropped from all sequences, users falling under the
+    floor or outside the length window are dropped, and the pass repeats:
+    the output is a fixed point of the filter. Returns the surviving
+    codes, the surviving users' lengths and their row indices.
     """
-    rows = [(u, list(items)) for u, items in rows]
+    user_of = np.repeat(np.arange(len(lengths)), lengths)
+    alive = np.ones(len(codes), dtype=bool)
+    users = np.ones(len(lengths), dtype=bool)
+    vocab = int(codes.max(initial=-1)) + 1
+    floor = max(cfg.min_interactions, cfg.min_len)
     while True:
-        counts: dict[str, int] = {}
-        for _, items in rows:
-            for it in items:
-                counts[it] = counts.get(it, 0) + 1
-        keep_items = {it for it, c in counts.items() if c >= cfg.min_interactions}
-        out = []
-        for user, items in rows:
-            kept = [it for it in items if it in keep_items]
-            n = len(kept)
-            if n < cfg.min_interactions or n < cfg.min_len or n > cfg.max_len:
-                continue
-            out.append((user, kept))
-        if out == rows:
-            return out
-        rows = out
+        common = np.bincount(codes[alive], minlength=vocab) >= cfg.min_interactions
+        kept = alive & common[codes]
+        n = np.bincount(user_of[kept], minlength=len(lengths))
+        ok = users & (n >= floor) & (n <= cfg.max_len)
+        kept &= ok[user_of]
+        # each pass only removes, so equal counts mean nothing changed
+        if (np.count_nonzero(kept) == np.count_nonzero(alive)
+                and np.count_nonzero(ok) == np.count_nonzero(users)):
+            return codes[alive], n[users], np.flatnonzero(users)
+        alive, users = kept, ok
+
+
+def filter_sequences(rows: list[tuple[str, list[str]]], cfg: DataConfig
+                     ) -> list[tuple[str, list[str]]]:
+    """``filter_codes`` on parsed rows."""
+    codes, lengths, tokens = code_rows(rows)
+    codes, lengths, users = filter_codes(codes, lengths, cfg)
+    return _rows([rows[u][0] for u in users.tolist()], [tokens[c] for c in codes.tolist()],
+                 lengths)
+
+
+def first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in order of first appearance, and each entry's
+    dense id 1..n in that order."""
+    n = len(codes)
+    vocab = int(codes.max(initial=-1)) + 1
+    first = np.full(vocab, n)
+    np.minimum.at(first, codes, np.arange(n))
+    present = np.flatnonzero(first < n)
+    order = present[np.argsort(first[present])]
+    dense = np.zeros(vocab, dtype=np.int64)
+    dense[order] = np.arange(1, len(order) + 1)
+    return order, dense[codes]
 
 
 def remap_items(rows: list[tuple[str, list[str]]]
                 ) -> tuple[list[tuple[str, list[int]]], dict[str, int]]:
     """Dense 1..n ids in order of first appearance."""
-    mapping: dict[str, int] = {}
-    remapped = []
-    for user, items in rows:
-        ids = []
-        for it in items:
-            if it not in mapping:
-                mapping[it] = len(mapping) + 1
-            ids.append(mapping[it])
-        remapped.append((user, ids))
-    return remapped, mapping
+    codes, lengths, tokens = code_rows(rows)
+    return (_rows([u for u, _ in rows], (codes + 1).tolist(), lengths),
+            {token: i for i, token in enumerate(tokens, start=1)})
 
 
 # ---------------------------------------------------------------------------
@@ -240,26 +282,31 @@ def _runs(start: np.ndarray, count: np.ndarray, step: int) -> tuple[np.ndarray, 
     return rows, np.repeat(start, count) + step * offsets
 
 
-def split_dataset(sequences: list[tuple[str, list[int]]], ratio: float = 0.2,
-                  t_max: int = 16) -> tuple[Split, Split, Split]:
-    """Latest-share split (see ``split_positions``) as train, valid and
-    test arrays.
+def _splits(ids: np.ndarray, lengths: np.ndarray, users: np.ndarray, positions, t_max: int
+         ) -> tuple[Split, Split, Split]:
+    """The splits at ``positions`` (``split_positions``) of the users'
+    flattened item ids.
 
     The items go into one (users, t_max + longest) matrix, row u holding
     t_max zeros and then user u's items, zero-filled on the right. The
-    prefix of position p is then columns p .. p + t_max - 1 and its target
-    column t_max + p, so each split is one fancy index.
+    prefix of position p is then the t_max-wide window at column p and
+    its target column t_max + p, so each split is one fancy index.
     """
-    users = np.array([u for u, _ in sequences], dtype=str)
-    lengths = np.array([len(items) for _, items in sequences], dtype=np.int64)
     longest = int(lengths.max(initial=0))
-    matrix = np.zeros((len(sequences), t_max + longest), dtype=np.int64)
-    rows, pos = _runs(np.full(len(lengths), t_max), lengths, 1)
-    matrix[rows, pos] = np.fromiter(itertools.chain.from_iterable(i for _, i in sequences),
-                                    dtype=np.int64, count=rows.size)
-    window = np.arange(t_max)
-    return tuple(Split(matrix[r[:, None], p[:, None] + window], matrix[r, t_max + p], users[r])
-                 for r, p in split_positions(lengths, ratio))
+    matrix = np.zeros((len(lengths), t_max + longest), dtype=np.int64)
+    matrix[:, t_max:][np.arange(longest) < lengths[:, None]] = ids
+    windows = np.lib.stride_tricks.sliding_window_view(matrix, t_max, axis=1)
+    return tuple(Split(windows[r, p], matrix[r, t_max + p], users[r]) for r, p in positions)
+
+
+def split_dataset(sequences: list[tuple[str, list[int]]], ratio: float = 0.2,
+                  t_max: int = 16) -> tuple[Split, Split, Split]:
+    """Latest-share split (see ``split_positions``) as train, valid and
+    test arrays."""
+    lengths = np.array([len(items) for _, items in sequences], dtype=np.int64)
+    ids = np.array([it for _, items in sequences for it in items], dtype=np.int64)
+    users = np.array([u for u, _ in sequences], dtype=str)
+    return _splits(ids, lengths, users, split_positions(lengths, ratio), t_max)
 
 
 def train_portions(sequences: list[tuple[str, list[int]]], ratio: float = 0.2
@@ -276,7 +323,16 @@ def train_portions(sequences: list[tuple[str, list[int]]], ratio: float = 0.2
 
 
 def build_adjacency(train_sequences: list[list[int]], num_items: int) -> sp.csr_matrix:
-    """Directed next-item transitions from training runs only.
+    """``transition_adjacency`` of the next-item transitions within these
+    training runs."""
+    flat = np.array([it for seq in train_sequences for it in seq], dtype=np.int64)
+    run = np.repeat(np.arange(len(train_sequences)), [len(seq) for seq in train_sequences])
+    follows = run[1:] == run[:-1]
+    return transition_adjacency(flat[:-1][follows], flat[1:][follows], num_items)
+
+
+def transition_adjacency(src: np.ndarray, dst: np.ndarray, num_items: int) -> sp.csr_matrix:
+    """Directed next-item transitions src -> dst, from training runs only.
 
     Every item row gets a self loop, then rows are mean-normalized to
     sum to one. Row and column 0 (padding) stay empty. Within a row the
@@ -284,16 +340,12 @@ def build_adjacency(train_sequences: list[list[int]], num_items: int) -> sp.csr_
     so that sparse products sum in the same order.
     """
     n = num_items + 1
-    lengths = [len(seq) for seq in train_sequences]
-    flat = np.fromiter(itertools.chain.from_iterable(train_sequences), dtype=np.int64,
-                       count=sum(lengths))
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    follows = run[1:] == run[:-1]
     loops = np.arange(1, n)
-    src = np.concatenate([loops, flat[:-1][follows]])
-    dst = np.concatenate([loops, flat[1:][follows]])
+    src = np.concatenate([loops, src])
+    dst = np.concatenate([loops, dst])
     # one code per edge, ordered by source row and then by descending column
-    codes = np.unique(src * n + (n - 1 - dst))
+    codes = np.sort(src * n + (n - 1 - dst))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
     rows = codes // n
     counts = np.bincount(rows, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)])
@@ -348,16 +400,41 @@ def augment_batch(prefixes: np.ndarray, beta: float, rng: np.random.Generator) -
 # ---------------------------------------------------------------------------
 
 
+def build_domain(domain_id: str, codes: np.ndarray, lengths: np.ndarray, cfg: DataConfig,
+                 user_id: Callable[[int], str], item_token: Callable[[int], str]
+                 ) -> DomainDataset:
+    """A domain from its users' integer item codes, flattened in user
+    order, and the users' lengths.
+
+    Filters (``filter_codes``), gives the surviving items dense ids in
+    order of first appearance, splits, and builds the adjacency from the
+    training targets and the items before them. ``user_id(row)`` and
+    ``item_token(code)`` name the surviving users and items, and are called
+    for those only.
+    """
+    users = np.arange(len(lengths))
+    if cfg.apply_filters:
+        codes, lengths, users = filter_codes(codes, lengths, cfg)
+    if not len(users):
+        raise EmptyDatasetError(f"domain {domain_id!r}: no users survive preprocessing")
+    order, ids = first_appearance(codes)
+    positions = split_positions(lengths, cfg.eval_ratio)
+    names = np.array([user_id(u) for u in users.tolist()], dtype=str)
+    train, valid, test = _splits(ids, lengths, names, positions, cfg.t_max)
+    rows, pos = positions[0]
+    at = (np.cumsum(lengths) - lengths)[rows] + pos  # the training targets in ids
+    adjacency = transition_adjacency(ids[at - 1], ids[at], len(order))
+    item_tokens = dict(zip(map(item_token, order.tolist()), range(1, len(order) + 1)))
+    return DomainDataset(domain_id, len(order), train, valid, test, adjacency, item_tokens)
+
+
 def build_domain_dataset(domain_id: str, rows: list[tuple[str, list[str]]],
                          cfg: DataConfig) -> DomainDataset:
-    if cfg.apply_filters:
-        rows = filter_sequences(rows, cfg)
-    if not rows:
-        raise EmptyDatasetError(f"domain {domain_id!r}: no users survive preprocessing")
-    remapped, mapping = remap_items(rows)
-    train, valid, test = split_dataset(remapped, cfg.eval_ratio, cfg.t_max)
-    adjacency = build_adjacency(train_portions(remapped, cfg.eval_ratio), len(mapping))
-    return DomainDataset(domain_id, len(mapping), train, valid, test, adjacency, mapping)
+    """``build_domain`` of parsed rows, their tokens coded by first
+    appearance."""
+    codes, lengths, tokens = code_rows(rows)
+    return build_domain(domain_id, codes, lengths, cfg, lambda u: rows[u][0],
+                        tokens.__getitem__)
 
 
 def load_domain(path, cfg: DataConfig | None = None, domain_id: str | None = None) -> DomainDataset:
@@ -651,8 +728,9 @@ def _draw_users(words: _Words, spec: SyntheticSpec, clusters: _Clusters
     return np.concatenate(ids), np.concatenate(lengths)
 
 
-def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, list[str]]]]:
-    """Raw per-domain rows with globally disjoint item tokens.
+def draw_domains(spec: SyntheticSpec) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each domain's item ids 0..items_per_domain - 1, flattened in user
+    order, and its users' lengths.
 
     Draw order: two chains' set-up draws per domain (the shared chain's
     first), a shuffle of the item clusters, then per user one bounded
@@ -684,29 +762,37 @@ def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, lis
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
     c = spec.num_clusters
     shared = _peaked_chain(rng, c)
-    scenario: dict[str, list[tuple[str, list[str]]]] = {}
+    domains = {}
     for d in range(spec.num_domains):
-        domain_id = f"d{d}"
         private = _peaked_chain(rng, c)
         chain = spec.correlation * shared + (1.0 - spec.correlation) * private
         cdfs = [_choice_cdf(row) for row in chain]
         assignment = np.arange(spec.items_per_domain) % c
         rng.shuffle(assignment)
         words = _Words(rng)
-        ids, lengths = _draw_users(words, spec, _Clusters.of(assignment, cdfs))
+        domains[f"d{d}"] = _draw_users(words, spec, _Clusters.of(assignment, cdfs))
         words.close()
+    return domains
+
+
+def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, list[str]]]]:
+    """Raw per-domain rows with globally disjoint item tokens: user u of
+    domain d is ``d{d}:u{u}`` and item i ``d{d}:i{i}`` (``draw_domains``)."""
+    scenario = {}
+    for domain_id, (ids, lengths) in draw_domains(spec).items():
         tokens = np.array([f"{domain_id}:i{i}" for i in range(spec.items_per_domain)],
-                          dtype=object)[ids].tolist()
-        ends = np.cumsum(lengths).tolist()
-        scenario[domain_id] = [(f"{domain_id}:u{u}", tokens[end - n:end])
-                               for u, (end, n) in enumerate(zip(ends, lengths.tolist()))]
+                          dtype=object)
+        scenario[domain_id] = _rows([f"{domain_id}:u{u}" for u in range(len(lengths))],
+                                    tokens[ids].tolist(), lengths)
     return scenario
 
 
 def generate_synthetic(spec: SyntheticSpec, cfg: DataConfig | None = None) -> ScenarioSpec:
+    """The scenario ``load_scenario`` reads from ``write_scenario``'s files,
+    built from the drawn ids; only surviving users and items are named."""
     cfg = cfg or DataConfig()
-    raw = generate_raw_sequences(spec)
-    domains = [build_domain_dataset(dom, rows, cfg) for dom, rows in raw.items()]
+    domains = [build_domain(dom, ids, lengths, cfg, f"{dom}:u{{}}".format, f"{dom}:i{{}}".format)
+               for dom, (ids, lengths) in draw_domains(spec).items()]
     return ScenarioSpec(domains, seed=spec.seed)
 
 

@@ -133,16 +133,29 @@ class ClientState:
         self.optimizer.reset_state(params)
 
     def snapshot_parameters(self) -> dict[str, np.ndarray]:
-        state = {}
-        for prefix, params in self._named_groups():
-            for p in params:
-                state[f"{prefix}{p.name}"] = p.data.copy()
-        return state
+        return {name: p.data.copy() for name, p in self._named_parameters().items()}
 
     def restore_parameters(self, state: dict[str, np.ndarray]) -> None:
-        for prefix, params in self._named_groups():
-            for p in params:
-                p.tensor.data = state[f"{prefix}{p.name}"].astype(p.data.dtype)
+        """Load a ``snapshot_parameters`` state. Every name and shape is
+        checked first: a state that does not fit raises ``ValueError``
+        naming the entry and leaves every parameter as it was."""
+        named = self._named_parameters()
+        missing, extra = sorted(named.keys() - state.keys()), sorted(state.keys() - named.keys())
+        if missing:
+            raise ValueError(f"domain {self.domain_id!r}: state has no entry {missing[0]!r}")
+        if extra:
+            raise ValueError(f"domain {self.domain_id!r}: state entry {extra[0]!r} "
+                             f"is not a parameter of this client")
+        for name, p in named.items():
+            if np.shape(state[name]) != p.data.shape:
+                raise ValueError(f"domain {self.domain_id!r}: state entry {name!r} has shape "
+                                 f"{np.shape(state[name])}, expected {p.data.shape}")
+        for name, p in named.items():
+            p.tensor.data = state[name].astype(p.data.dtype)
+
+    def _named_parameters(self) -> dict:
+        return {f"{prefix}{p.name}": p for prefix, params in self._named_groups()
+                for p in params}
 
     def _named_groups(self):
         groups = [("local.", self.local.parameters())]

@@ -93,6 +93,17 @@ class TestParamsBridge:
             load_into_params(checkpoint_from_params(enc.parameters()),
                              small.parameters())
 
+    def test_shape_mismatch_leaves_every_parameter_unchanged(self):
+        params = [ad.Parameter(np.arange(6.0).reshape(2, 3), "a"),
+                  ad.Parameter(np.arange(4.0), "b")]
+        before = [p.data.tobytes() for p in params]
+        # "a" fits and comes first; only the later "b" has the wrong shape
+        ckpt = ExpertCheckpoint([("a", np.ones((2, 3), np.float32)),
+                                 ("b", np.ones(5, np.float32))])
+        with pytest.raises(ValueError, match="b: shape"):
+            load_into_params(ckpt, params)
+        assert [p.data.tobytes() for p in params] == before
+
     def test_checkpoint_entries_are_immutable(self):
         ckpt = random_checkpoint()
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fedmoe.checkpoint import ExpertCheckpoint
 from fedmoe.cli import main
 
 FAST = ["--rounds", "1", "--local-epochs", "1", "--batch-size", "64",
@@ -184,6 +185,28 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main(["eval", str(run_dir), "--split", "test"]) == 2
         assert message in capsys.readouterr().err
+
+    def test_eval_rejects_states_that_do_not_fit_before_scoring(self, data_dir, tmp_path,
+                                                                 monkeypatch, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--scenario", str(data_dir / "scenario.json"),
+                     "--out-dir", str(run_dir)] + FAST) == 0
+        path = run_dir / "states" / "d1.state.ckpt"
+        entries = ExpertCheckpoint.load(path).entries
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("eval scored a client before every state was loaded")
+
+        monkeypatch.setattr("fedmoe.federation.evaluate_all", no_scoring)
+        short_bias = [(n, a[:-1] if n == "local.head.out_bias" else a) for n, a in entries]
+        no_gate_out = [(n, a) for n, a in entries if n != "gate.out"]
+        for edited, message in [(short_bias, "state entry 'local.head.out_bias' has shape"),
+                                (no_gate_out, "state has no entry 'gate.out'")]:
+            ExpertCheckpoint(edited).save(path)
+            capsys.readouterr()
+            assert main(["eval", str(run_dir), "--split", "test"]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and f"domain 'd1': {message}" in err
 
     def test_conflicting_sources_exit_2(self, data_dir, tmp_path, capsys):
         cfg = {"scenario_manifest": str(data_dir / "scenario.json"),

@@ -1,17 +1,19 @@
 """Preprocessing, split, adjacency, augmentation, and generator tests.
 
-The per-draw generator, the per-sample split, the set-based adjacency and
-the row-by-row augmentation of earlier releases are kept below as
-reference implementations; the array code must reproduce them exactly.
+The per-draw generator, the per-row filter and remap, the per-sample
+split, the set-based adjacency and the row-by-row augmentation of earlier
+releases are kept below as reference implementations; the array code must
+reproduce them exactly.
 """
 
+import collections
 import dataclasses
 import hashlib
 from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scipy.sparse as sp
@@ -80,6 +82,46 @@ def reference_split_dataset(sequences, ratio=0.2, t_max=16):
     return train, valid, test
 
 
+def reference_filter_sequences(rows, cfg):
+    """The rarity and length filter, one Python pass per round."""
+    rows = [(u, list(items)) for u, items in rows]
+    while True:
+        counts = {}
+        for _, items in rows:
+            for it in items:
+                counts[it] = counts.get(it, 0) + 1
+        keep_items = {it for it, c in counts.items() if c >= cfg.min_interactions}
+        out = []
+        for user, items in rows:
+            kept = [it for it in items if it in keep_items]
+            n = len(kept)
+            if n < cfg.min_interactions or n < cfg.min_len or n > cfg.max_len:
+                continue
+            out.append((user, kept))
+        if out == rows:
+            return out
+        rows = out
+
+
+def reference_remap_items(rows):
+    """Dense 1..n ids in order of first appearance, from a dict."""
+    mapping = {}
+    remapped = []
+    for user, items in rows:
+        ids = []
+        for it in items:
+            if it not in mapping:
+                mapping[it] = len(mapping) + 1
+            ids.append(mapping[it])
+        remapped.append((user, ids))
+    return remapped, mapping
+
+
+def reference_train_portions(sequences, ratio):
+    return [items[:len(items) - data.withheld_count(len(items), ratio)]
+            for _, items in sequences]
+
+
 def reference_build_adjacency(train_sequences, num_items):
     """Edges gathered in a Python set, normalized by a diagonal product."""
     n = num_items + 1
@@ -137,6 +179,18 @@ def assert_same_csr(a, b):
         assert x.dtype == y.dtype, field
         np.testing.assert_array_equal(x, y, err_msg=field)
     assert a.shape == b.shape and type(a) is type(b)
+
+
+def assert_same_domain(a, b):
+    """Every array byte and dtype, the vocabulary in order, and the CSR."""
+    assert (a.domain_id, a.num_items) == (b.domain_id, b.num_items)
+    assert list(a.item_tokens.items()) == list(b.item_tokens.items())
+    for name in ("train", "valid", "test"):
+        for field in ("prefixes", "targets", "users"):
+            x, y = getattr(getattr(a, name), field), getattr(getattr(b, name), field)
+            assert x.dtype == y.dtype and x.shape == y.shape, (name, field)
+            np.testing.assert_array_equal(x, y, err_msg=f"{name}.{field}")
+    assert_same_csr(a.adjacency, b.adjacency)
 
 
 def write_lines(tmp_path, lines, name="dom.txt"):
@@ -385,15 +439,17 @@ class TestSynthetic:
             assert f1.read_bytes() == f2.read_bytes()
 
     def test_written_scenario_loads_like_generated(self, tmp_path):
-        spec = data.SyntheticSpec(items_per_domain=40, users_per_domain=150, seed=5)
+        # with filters on, rare items and short users drop out of the 40-item domains
+        spec = data.SyntheticSpec(items_per_domain=40, users_per_domain=150, min_len=4,
+                                  seed=5)
         manifest = data.write_scenario(spec, tmp_path)
-        loaded = data.load_scenario(manifest)
-        direct = data.generate_synthetic(spec)
-        for a, b in zip(loaded.domains, direct.domains):
-            assert a.num_items == b.num_items
-            assert len(a.train) == len(b.train)
-            np.testing.assert_array_equal(a.train_arrays()[0], b.train_arrays()[0])
-            assert (a.adjacency != b.adjacency).nnz == 0
+        for filters in (True, False):
+            cfg = data.DataConfig(apply_filters=filters)
+            loaded, direct = data.load_scenario(manifest, cfg), data.generate_synthetic(spec, cfg)
+            assert len(loaded.domains) == len(direct.domains) == 3
+            for a, b in zip(loaded.domains, direct.domains):
+                assert_same_domain(a, b)
+                assert (a.num_items < 40) == filters
 
     def test_smoke_scale(self):
         scenario = data.generate_synthetic(
@@ -507,6 +563,87 @@ class TestMatchesReference:
         with pytest.raises(ValueError, match="sum to 1"):
             data._choice_cdf(np.array([0.5, 0.4]))
         assert data._choice_cdf(np.array([0.25, 0.75])) == [0.25, 1.0]
+
+
+def reference_domain(domain_id, rows, cfg):
+    """``build_domain_dataset`` from the per-row references."""
+    if cfg.apply_filters:
+        rows = reference_filter_sequences(rows, cfg)
+    if not rows:
+        raise EmptyDatasetError(f"domain {domain_id!r}: no users survive preprocessing")
+    remapped, mapping = reference_remap_items(rows)
+    # every split's users take the width of the longest surviving user id
+    width = np.array([u for u, _ in remapped], dtype=str).dtype
+    splits = [data.Split(np.array([s.prefix for s in samples], dtype=np.int64)
+                         .reshape(-1, cfg.t_max),
+                         np.array([s.target for s in samples], dtype=np.int64),
+                         np.array([s.user_id for s in samples], dtype=width))
+              for samples in reference_split_dataset(remapped, cfg.eval_ratio, cfg.t_max)]
+    adjacency = reference_build_adjacency(reference_train_portions(remapped, cfg.eval_ratio),
+                                          len(mapping))
+    return data.DomainDataset(domain_id, len(mapping), *splits, adjacency, mapping)
+
+
+def assert_builds_like_reference(int_rows, cfg):
+    """``build_domain`` on integer item codes, as the generator calls it,
+    and ``build_domain_dataset`` on their tokens ``i{code}``, as a loaded
+    file is built, against the per-row references."""
+    rows = [(u, [f"i{c}" for c in items]) for u, items in int_rows]
+    codes = np.array([c for _, items in int_rows for c in items], dtype=np.int64)
+    lengths = np.array([len(items) for _, items in int_rows], dtype=np.int64)
+    builds = [lambda: data.build_domain("d", codes, lengths, cfg, lambda u: int_rows[u][0],
+                                        "i{}".format),
+              lambda: data.build_domain_dataset("d", rows, cfg)]
+    assert data.filter_sequences(rows, cfg) == reference_filter_sequences(rows, cfg)
+    assert data.remap_items(rows) == reference_remap_items(rows)
+    try:
+        expected = reference_domain("d", rows, cfg)
+    except EmptyDatasetError as exc:
+        for build in builds:
+            with pytest.raises(EmptyDatasetError) as err:
+                build()
+            assert str(err.value) == str(exc)
+        return None
+    for build in builds:
+        assert_same_domain(build(), expected)
+    return expected
+
+
+# the user with the longest id survives the first pass, which drops the long
+# user "b"; without b, items 1 and 2 are rare and the first user falls short
+SECOND_PASS_ROWS = [("long-user-id", [1, 2, 7]), ("b", [1, 2, 1, 2, 1, 2]),
+                    ("c", [7, 8, 7, 8]), ("d", [8, 7])]
+SECOND_PASS_CONFIG = data.DataConfig(min_interactions=2, min_len=2, max_len=4, t_max=3)
+
+
+class TestBuilderMatchesReference:
+    @given(st.lists(st.tuples(st.text("ab", min_size=1, max_size=8),
+                              st.lists(st.integers(0, 11), min_size=1, max_size=18)),
+                    max_size=25, unique_by=lambda row: row[0]),
+           st.builds(data.DataConfig, min_interactions=st.integers(1, 5),
+                     min_len=st.integers(1, 5), max_len=st.integers(1, 16),
+                     eval_ratio=st.sampled_from([0.2, 0.35, 0.5]), t_max=st.integers(1, 6),
+                     apply_filters=st.booleans()))
+    @example(SECOND_PASS_ROWS, SECOND_PASS_CONFIG)
+    @example([("u1", [1, 2, 3]), ("u22", [3, 4, 5, 6])], data.DataConfig(min_interactions=3))
+    @settings(max_examples=300, deadline=None)
+    def test_random_rows(self, int_rows, cfg):
+        assert_builds_like_reference(int_rows, cfg)
+
+    def test_user_dropped_in_the_second_pass(self):
+        # in the first pass every item of the first user occurs twice or more
+        counts = collections.Counter(i for _, items in SECOND_PASS_ROWS for i in items)
+        assert min(counts[i] for i in SECOND_PASS_ROWS[0][1]) >= 2
+        ds = assert_builds_like_reference(SECOND_PASS_ROWS, SECOND_PASS_CONFIG)
+        users = np.concatenate([ds.train.users, ds.valid.users, ds.test.users])
+        assert set(users.tolist()) == {"c", "d"} and users.dtype == np.dtype("<U1")
+
+    def test_every_user_filtered_out(self):
+        rows = [("u1", [1, 2, 3]), ("u22", [3, 4, 5, 6])]
+        assert assert_builds_like_reference(rows, data.DataConfig(min_interactions=3)) is None
+        with pytest.raises(EmptyDatasetError, match="^domain 'd': no users survive"):
+            data.build_domain_dataset("d", [(u, [str(i) for i in items]) for u, items in rows],
+                                      data.DataConfig(min_interactions=3))
 
 
 # SHA-256 over each written file's name and bytes, in name order, as the

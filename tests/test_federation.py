@@ -1,6 +1,7 @@
 """Federation protocol tests on a small synthetic scenario."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,34 @@ class TestClientBuild:
         assert sorted(client.global_branches) == ["d1", "d2"]
         if client.gate is not None:
             assert client.gate.num_experts == 3
+
+
+class TestRestoreParameters:
+    def test_round_trip(self, scenario):
+        client = federation.build_client(scenario, "d0", small_config())
+        other = federation.build_client(scenario, "d0", small_config(seed=8))
+        other.restore_parameters(client.snapshot_parameters())
+        for p, q in zip(client.all_parameters(), other.all_parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        ("shape", "state entry 'global.d2.head.out' has shape (3,), expected (16, 59)"),
+        ("missing", "state has no entry 'global.d2.head.out'"),
+        ("extra", "state entry 'zz.extra' is not a parameter of this client")])
+    def test_state_that_does_not_fit_changes_nothing(self, scenario, edit, message):
+        # the entries before 'global.d2.head.out' would be written first
+        client = federation.build_client(scenario, "d0", small_config())
+        state = {name: a + 1.0 for name, a in client.snapshot_parameters().items()}
+        if edit == "shape":
+            state["global.d2.head.out"] = np.zeros(3)
+        elif edit == "missing":
+            del state["global.d2.head.out"]
+        else:
+            state["zz.extra"] = np.zeros(1)
+        before = [p.data.tobytes() for p in client.all_parameters()]
+        with pytest.raises(ValueError, match=re.escape(f"domain 'd0': {message}")):
+            client.restore_parameters(state)
+        assert [p.data.tobytes() for p in client.all_parameters()] == before
 
 
 class TestClientUpdate:

@@ -473,14 +473,20 @@ def gelu(a) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def softmax_values(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """softmax's arithmetic on an array, off the tape; out=x reuses x's buffer."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError("softmax input contains non-finite values")
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along one axis."""
     a = as_tensor(a)
-    if not np.isfinite(a.data).all():
-        raise FloatingPointError("softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_values(a.data, axis)
     out = Tensor(y)
 
     def bwd(g):
@@ -490,11 +496,13 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def cross_entropy(logits, target) -> Tensor:
+def cross_entropy(logits, target, return_prob: bool = False):
     """-log softmax(logits)[target] via log-sum-exp.
 
     Accepts a single logit vector with an int target, or a (batch, n)
     matrix with a vector of targets; the batched form returns the mean.
+    With return_prob it also returns softmax(logits)[target] per row from
+    the same max, exp and row sum, and rejects non-finite logits as softmax does.
     """
     logits = as_tensor(logits)
     x = logits.data
@@ -511,6 +519,8 @@ def cross_entropy(logits, target) -> Tensor:
     n = x2.shape[1]
     if targets.min() < 0 or targets.max() >= n:
         raise IndexError(f"cross_entropy: target out of range [0, {n})")
+    if return_prob and not np.isfinite(x2).all():
+        raise FloatingPointError("cross_entropy input contains non-finite values")
     m = x2.max(axis=1, keepdims=True)
     e = np.exp(x2 - m)
     total = e.sum(axis=1, keepdims=True)
@@ -525,7 +535,21 @@ def cross_entropy(logits, target) -> Tensor:
         p *= g / x2.shape[0]
         return (p.reshape(x.shape),)
 
-    return _record(out, (logits,), bwd)
+    out = _record(out, (logits,), bwd)
+    return (out, e[rows, targets] / total[:, 0]) if return_prob else out
+
+
+def mix(weights, values: np.ndarray) -> Tensor:
+    """out[i] = sum_e weights[i, e] * values[i, e], added in e order. values
+    (batch, E) is a constant: the backward gives the weights' gradient alone."""
+    weights = as_tensor(weights)
+    if values.shape != weights.data.shape:
+        raise ShapeError(f"mix: values {values.shape} do not match weights {weights.data.shape}")
+    terms = weights.data * values
+    out = terms[:, 0]
+    for e in range(1, values.shape[1]):
+        out = out + terms[:, e]
+    return _record(Tensor(out), (weights,), lambda g: (g[:, None] * values,))
 
 
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:

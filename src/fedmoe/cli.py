@@ -61,8 +61,6 @@ _CONFIG_FLAGS = [
 
 _CONFIG_SWITCHES = [
     ("--parallel-clients", "parallel_clients", "run client updates on a thread pool"),
-    ("--moe-grad-to-experts", "moe_grad_to_experts",
-     "let the fusion loss update expert branches (off per default contract)"),
     ("--exclude-seen", "exclude_seen", "exclude prefix items from ranking candidates"),
     ("--no-filters", "no_filters", "disable preprocessing filters"),
 ]
@@ -144,6 +142,14 @@ def _load_scenario_from_config(cfg: RunConfig) -> ScenarioSpec:
     raise ConfigError("no data source: set scenario_manifest or synthetic")
 
 
+def _domain_ids(cfg: RunConfig) -> list[str]:
+    """The scenario's domain ids, read from the config without building it."""
+    if cfg.scenario_manifest:
+        with open(cfg.scenario_manifest, encoding="utf-8") as fh:
+            return [entry["id"] for entry in json.load(fh)["domains"]]
+    return cfg.synthetic_spec().domain_ids if cfg.synthetic else []
+
+
 def _save_run_outputs(out_dir: Path, cfg: RunConfig, result) -> None:
     cfg_resolved = dataclasses.replace(cfg, out_dir=str(out_dir))
     cfg_resolved.save(out_dir / "resolved_config.json")
@@ -180,6 +186,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg = RunConfig.load(run_dir / "resolved_config.json")
     cfg.validate()
+    for dom in _domain_ids(cfg):  # a missing state fails before any data is built
+        path = run_dir / "states" / f"{dom}.state.ckpt"
+        if not path.is_file():
+            raise ConfigError(f"{path}: no saved state for domain {dom!r}")
     scenario = _load_scenario_from_config(cfg)
     dtype = np.float64 if cfg.precision == "float64" else np.float32
     with ad.default_dtype(dtype):

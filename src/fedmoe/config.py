@@ -84,7 +84,6 @@ class RunConfig:
     precision: str = "float32"
     parallel_clients: bool = False
     gate_hidden_dim: int = 0
-    moe_grad_to_experts: bool = False
     exclude_seen: bool = False
     eval_batch: int = 512
 
@@ -114,7 +113,7 @@ class RunConfig:
             raise ConfigError(f"unknown precision {self.precision!r}")
         for name, lo in (("rounds", 1), ("local_epochs", 1), ("batch_size", 1),
                          ("width", 1), ("blocks", 1), ("heads", 1), ("ff_mult", 1),
-                         ("t_max", 1), ("eval_batch", 1)):
+                         ("t_max", 1), ("eval_batch", 1), ("gate_hidden_dim", 0)):
             if getattr(self, name) < lo:
                 raise ConfigError(f"{name} must be >= {lo}")
         if self.seed < 0:  # SeedSequence takes non-negative integers only
@@ -165,6 +164,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
+        payload = dict(payload)
+        # saved by earlier releases; false is what every run does now
+        if payload.pop("moe_grad_to_experts", False) is not False:
+            raise ConfigError("moe_grad_to_experts is retired: the fusion loss "
+                              "trains the gate alone")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:

@@ -480,6 +480,10 @@ class SyntheticSpec:
     correlation: float = 1.0
     seed: int = 0
 
+    @property
+    def domain_ids(self) -> list[str]:
+        return [f"d{d}" for d in range(self.num_domains)]
+
     def validate(self) -> None:
         if self.num_domains < 2:
             raise ConfigError("synthetic scenario needs at least 2 domains")
@@ -763,14 +767,14 @@ def draw_domains(spec: SyntheticSpec) -> dict[str, tuple[np.ndarray, np.ndarray]
     c = spec.num_clusters
     shared = _peaked_chain(rng, c)
     domains = {}
-    for d in range(spec.num_domains):
+    for dom in spec.domain_ids:
         private = _peaked_chain(rng, c)
         chain = spec.correlation * shared + (1.0 - spec.correlation) * private
         cdfs = [_choice_cdf(row) for row in chain]
         assignment = np.arange(spec.items_per_domain) % c
         rng.shuffle(assignment)
         words = _Words(rng)
-        domains[f"d{d}"] = _draw_users(words, spec, _Clusters.of(assignment, cdfs))
+        domains[dom] = _draw_users(words, spec, _Clusters.of(assignment, cdfs))
         words.close()
     return domains
 

@@ -370,10 +370,11 @@ def encode_pair(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     return z, z_aug, _head(branch, z)
 
 
-def rec_loss(logits: Tensor, target_items) -> Tensor:
-    """Next-item cross entropy; targets are item ids (1-based)."""
+def rec_loss(logits: Tensor, target_items, return_prob: bool = False):
+    """Next-item cross entropy; targets are item ids (1-based). With
+    return_prob, also each row's softmax probability of its target."""
     targets = np.asarray(target_items, dtype=np.int64) - 1
-    return ad.cross_entropy(logits, targets if targets.ndim else int(targets))
+    return ad.cross_entropy(logits, targets if targets.ndim else int(targets), return_prob)
 
 
 def contrastive_loss(z: Tensor, z_aug: Tensor, temperature: float = 1.0) -> Tensor:

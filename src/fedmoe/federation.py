@@ -7,6 +7,9 @@ epochs, and uploads only its local encoder. Cache writes happen at the
 round barrier in deterministic domain order, so client updates within a
 round may run sequentially or on a thread pool with identical results.
 
+The fusion loss reads each branch's target probability from its
+cross-entropy as a constant, so the fusion op has no path to the experts.
+
 Variants: local-only training, FedAvg with a single shared encoder,
 uniform (no-gate) fusion, unfrozen global encoders, expert removal, and
 a two-phase schedule with exactly one synchronization. Every mode runs
@@ -22,7 +25,6 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
-from . import moe as moe_mod
 from .autodiff import Tape, Tensor, backward
 from .checkpoint import ExpertCheckpoint, checkpoint_from_params, load_into_params
 from .config import RunConfig
@@ -31,7 +33,8 @@ from .errors import ConfigError, EmptyDatasetError
 from .evaluation import DomainMetrics, MetricsReport, compute_metrics, rank_target
 from .expert import BranchParams, encode_batch, encode_pair, init_branch, init_encoder
 from .expert import contrastive_loss, lookup_table, rec_loss
-from .moe import GateParams, fuse, gate_forward, init_gate, moe_loss, uniform_gate_weights
+from .moe import GateParams, fuse, gate_forward, init_gate, moe_loss, target_nll
+from .moe import uniform_gate_weights
 from .optim import Adam
 
 logger = logging.getLogger(__name__)
@@ -219,7 +222,7 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
     adj = client.dataset.adjacency
     order = [client.domain_id] if local_only else client.expert_order()
     mixed = len(order) > 1
-    z_list, prob_list = [], []
+    z_list, target_probs = [], []
     total = None
     components: dict[str, float] = {}
 
@@ -228,23 +231,24 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
         table = lookup_table(branch, adj)
         z, z_aug, logits = encode_pair(branch, adj, prefixes, aug_prefixes,
                                        train=train, rng=rng, table=table)
-        rec = rec_loss(logits, targets)
+        if mixed:
+            rec, prob = rec_loss(logits, targets, return_prob=True)
+            z_list.append(z)
+            target_probs.append(prob)
+        else:
+            rec = rec_loss(logits, targets)
         con = contrastive_loss(z, z_aug, cfg.temperature)
         components[f"rec:{tag}"] = float(rec.data)
         components[f"con:{tag}"] = float(con.data)
         term = ad.add(ad.scale(rec, cfg.rec_weight), ad.scale(con, cfg.con_weight))
         total = term if total is None else ad.add(total, term)
-        if mixed:
-            z_list.append(z)
-            prob_list.append(ad.softmax(logits, axis=-1))
 
     if mixed:
         if client.gate is not None:
             weights = gate_forward(z_list, client.gate)
         else:
             weights = uniform_gate_weights(prefixes.shape[0], len(order))
-        fusion = fuse(prob_list, weights, train_experts=cfg.moe_grad_to_experts)
-        fused = moe_loss(fusion, targets)
+        fused = moe_loss(weights, np.stack(target_probs, axis=1))
         components["moe"] = float(fused.data)
         total = ad.add(total, ad.scale(fused, cfg.moe_weight))
 
@@ -304,35 +308,28 @@ def fedavg_aggregate(checkpoints: list[ExpertCheckpoint]) -> ExpertCheckpoint:
 # ---------------------------------------------------------------------------
 
 
-def _target_nll(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-sample -log probability of the (1-based) target item."""
-    picked = probs[np.arange(len(targets)), targets - 1]
-    return -np.log(picked.astype(np.float64) + moe_mod.EPS_FLOOR)
-
-
 def _client_scores(client: ClientState, prefixes: np.ndarray, targets: np.ndarray,
                    tables: list[Tensor]) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Fused item distribution (batch, num_items), per-sample gate weights,
     and the target NLL under each branch alone (batch, num_branches).
 
     tables holds each branch's lookup table, in branch order, built once
-    for all the chunks of a split."""
+    for all the chunks of a split. Softmaxes overwrite the logits."""
     adj = client.dataset.adjacency
-    z_list, prob_list = [], []
+    z_list, logits_list = [], []
     for branch, table in zip(client.branches_in_order(), tables):
         z, logits = encode_batch(branch, adj, prefixes, table=table)
         z_list.append(z)
-        prob_list.append(ad.softmax(logits, axis=-1))
+        logits_list.append(logits)
     if not client.global_branches:
-        probs = prob_list[0].data
-        return probs, None, _target_nll(probs, targets)[:, None]
+        probs = ad.softmax_values(logits.data, out=logits.data)
+        return probs, None, target_nll(probs, targets)[:, None]
     if client.gate is not None:
         weights = gate_forward(z_list, client.gate)
     else:
-        weights = uniform_gate_weights(prefixes.shape[0], len(prob_list))
-    fusion = fuse(prob_list, weights)
-    branch_nll = np.stack([_target_nll(p.data, targets) for p in prob_list], axis=1)
-    return fusion.mixture.data, fusion.gate_weights.data, branch_nll
+        weights = uniform_gate_weights(prefixes.shape[0], len(logits_list))
+    mixture, branch_nll = fuse(logits_list, weights, targets)
+    return mixture, weights.data, branch_nll
 
 
 def evaluate_client(client: ClientState, split: str) -> DomainMetrics:
@@ -356,7 +353,7 @@ def evaluate_client(client: ClientState, split: str) -> DomainMetrics:
             if exclude and int(tgt[i]) in exclude:
                 exclude.discard(int(tgt[i]))
             ranks.append(rank_target(scores[i], int(tgt[i]), exclude))
-        nll_sum += float(_target_nll(scores, tgt).sum())
+        nll_sum += float(target_nll(scores, tgt).sum())
         branch_nll_sum = branch_nll_sum + branch_nll.sum(axis=0)
         if gates is not None:
             gate_sum = gates.sum(axis=0) if gate_sum is None else gate_sum + gates.sum(axis=0)

@@ -4,8 +4,8 @@ The gate reads the concatenated final-position representations of every
 branch (local first, then the global branches in fixed domain-id
 order), behind a stop-gradient so its training never disturbs expert
 convergence. Fusion mixes the branch probability distributions with the
-gate weights; by default those distributions are stop-gradiented too,
-so the fusion loss trains the gate and nothing else.
+gate weights; the branch values are constants, so the fusion op has no
+path to the experts and the fusion loss trains the gate and nothing else.
 """
 
 from __future__ import annotations
@@ -91,41 +91,47 @@ def uniform_gate_weights(batch: int, num_experts: int) -> Tensor:
                           dtype=ad.get_default_dtype()))
 
 
-@dataclasses.dataclass
-class FusionOutput:
-    mixture: Tensor       # (batch, num_items), rows sum to 1
-    gate_weights: Tensor  # (batch, num_experts), rows sum to 1
+_FUSE_ROWS = 128  # rows fused at a time, so one block of every branch stays in cache
 
 
-def fuse(prob_list: list[Tensor], gate_weights: Tensor,
-         train_experts: bool = False) -> FusionOutput:
-    """Convex mixture of branch distributions under the gate weights.
+def target_nll(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-sample -log probability of the (1-based) target item."""
+    picked = probs[np.arange(len(targets)), targets - 1]
+    return -np.log(picked.astype(np.float64) + EPS_FLOOR)
 
-    Branch distributions are stop-gradiented unless train_experts is
-    set, so the fusion objective shapes only the gate.
+
+def fuse(logits_list: list[Tensor], gate_weights: Tensor,
+         target_items) -> tuple[np.ndarray, np.ndarray]:
+    """Off the tape: the mixture (batch, num_items) of the branch softmaxes
+    under the gate weights, and each branch's target NLL (batch, E).
+
+    Every branch's softmax, weighting and sum is done in place in row blocks,
+    the mixture in the first branch's logits buffer, in the order of
+    ``ad.softmax`` and ``ad.mix``, so the values are theirs bit for bit.
     """
-    n = prob_list[0].data.shape[-1]
-    for p in prob_list[1:]:
-        if p.data.shape[-1] != n:
-            raise ShapeError(f"fuse: distribution lengths disagree: {p.data.shape[-1]} vs {n}")
-    if gate_weights.data.shape[-1] != len(prob_list):
-        raise ShapeError(
-            f"fuse: {gate_weights.data.shape[-1]} gate columns for {len(prob_list)} experts")
-    mixture = None
-    for e, probs in enumerate(prob_list):
-        if not train_experts:
-            probs = ad.stop_gradient(probs)
-        w = ad.reshape(ad.select(gate_weights, axis=-1, index=e), (-1, 1))
-        term = ad.mul(w, probs)
-        mixture = term if mixture is None else ad.add(mixture, term)
-    return FusionOutput(mixture=mixture, gate_weights=gate_weights)
+    buffers = [logits.data for logits in logits_list]
+    lengths = [buf.shape[-1] for buf in buffers]
+    if len(set(lengths)) > 1:
+        raise ShapeError(f"fuse: distribution lengths disagree: {lengths}")
+    w = gate_weights.data
+    if w.shape[-1] != len(buffers):
+        raise ShapeError(f"fuse: {w.shape[-1]} gate columns for {len(buffers)} experts")
+    targets = np.asarray(target_items, dtype=np.int64)
+    branch_nll = np.empty(w.shape, dtype=np.float64)
+    for start in range(0, len(w), _FUSE_ROWS):
+        rows = slice(start, start + _FUSE_ROWS)
+        mixture = buffers[0][rows]
+        for e, buf in enumerate(buffers):
+            probs = ad.softmax_values(buf[rows], out=buf[rows])
+            branch_nll[rows, e] = target_nll(probs, targets[rows])
+            probs *= w[rows, e, None]
+            if e:
+                mixture += probs
+    return buffers[0], branch_nll
 
 
-def moe_loss(fusion: FusionOutput, target_items) -> Tensor:
-    """-log of the fused probability at the target item (ids are 1-based)."""
-    targets = np.asarray(target_items, dtype=np.int64) - 1
-    n = fusion.mixture.data.shape[-1]
-    if targets.min() < 0 or targets.max() >= n:
-        raise IndexError(f"moe_loss: target out of range [1, {n}]")
-    picked = ad.take_along_last(fusion.mixture, targets)
-    return ad.scale(ad.tmean(ad.tlog(ad.add(picked, Tensor(EPS_FLOOR)))), -1.0)
+def moe_loss(gate_weights: Tensor, target_probs: np.ndarray) -> Tensor:
+    """-mean log of the gated mixture at the target; target_probs (batch, E)
+    holds each branch's probability of the target, as a constant."""
+    mixed = ad.mix(gate_weights, target_probs)
+    return ad.scale(ad.tmean(ad.tlog(ad.add(mixed, Tensor(EPS_FLOOR)))), -1.0)

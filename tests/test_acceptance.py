@@ -110,9 +110,9 @@ def test_criterion_1_gradient_correctness_full_forward():
             for branch in order:
                 z, logits = expert.encode_batch(branch, adj, batch)
                 zs.append(z)
-                probs.append(ad.softmax(logits, axis=-1))
+                probs.append(expert.rec_loss(logits, tgt, return_prob=True)[1])
             weights = moe.gate_forward(zs, client.gate)
-            return moe.moe_loss(moe.fuse(probs, weights), tgt)
+            return moe.moe_loss(weights, np.stack(probs, axis=1))
 
         trainable = [p for p in client.all_parameters() if p.trainable]
         gate_ids = {id(p) for p in client.gate.parameters()}
@@ -191,9 +191,9 @@ def test_criterion_3_gate_isolation():
         for branch in client.branches_in_order():
             z, logits = expert.encode_batch(branch, client.dataset.adjacency, batch)
             zs.append(z)
-            probs.append(ad.softmax(logits, axis=-1))
+            probs.append(expert.rec_loss(logits, tgt, return_prob=True)[1])
         weights = moe.gate_forward(zs, client.gate)
-        ad.backward(moe.moe_loss(moe.fuse(probs, weights), tgt), tape)
+        ad.backward(moe.moe_loss(weights, np.stack(probs, axis=1)), tape)
     opt.step()
 
     moved_gate, moved_other = 0, 0
@@ -243,13 +243,12 @@ def test_criterion_5_mixture_validity_thousand_batches():
                   for _ in range(3)]
         logits = [ad.Tensor(rng.normal(0, 2, (8, 50)).astype(np.float32))
                   for _ in range(3)]
-        probs = [ad.softmax(l, axis=-1) for l in logits]
         weights = moe.gate_forward(z_list, gate)
-        fusion = moe.fuse(probs, weights)
+        mixture, _ = moe.fuse(logits, weights, np.arange(1, 9))
         worst_gate = max(worst_gate, float(np.abs(
-            fusion.gate_weights.data.sum(axis=-1) - 1.0).max()))
+            weights.data.sum(axis=-1) - 1.0).max()))
         worst_mix = max(worst_mix, float(np.abs(
-            fusion.mixture.data.sum(axis=-1) - 1.0).max()))
+            mixture.sum(axis=-1) - 1.0).max()))
     assert worst_gate <= 1e-6, f"gate rows off by {worst_gate:.2e}"
     assert worst_mix <= 1e-5, f"mixture rows off by {worst_mix:.2e}"
     _ok("criterion-5", f"1000 batches, worst gate {worst_gate:.1e}, worst mixture {worst_mix:.1e}")

@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmoe import autodiff as ad
 from fedmoe.errors import ShapeError
@@ -63,6 +65,7 @@ OP_CASES = [
     ("reshape", lambda t: ad.reshape(t, (4, 3)), (3, 4)),
     ("swapaxes", lambda t: ad.swapaxes(t, 0, 1), (3, 4)),
     ("select", lambda t: ad.select(t, axis=1, index=2), (3, 4)),
+    ("mix", lambda t: ad.mix(t, np.linspace(0.1, 1.0, 12).reshape(3, 4)), (3, 4)),
     ("concat", lambda t: ad.concat_last([t, ad.mul(t, t)]), (3, 4)),
     ("gather", lambda t: ad.gather_rows(t, np.array([[0, 2], [2, 2]])), (3, 4)),
     ("take_along", lambda t: ad.take_along_last(t, np.array([1, 3, 0])), (3, 4)),
@@ -221,6 +224,25 @@ class TestSoftmax:
         with pytest.raises(FloatingPointError):
             ad.softmax(ad.Tensor([np.inf, 0.0]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 20), n=st.integers(1, 50),
+           spread=st.sampled_from([1.0, 30.0, 1000.0]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_values_in_own_buffer_equal_softmax(self, seed, rows, n, spread, dtype):
+        x = np.random.default_rng(seed).normal(0, spread, (rows, n)).astype(dtype)
+        want = ad.softmax(ad.Tensor(x)).data
+        buf = x.copy()
+        got = ad.softmax_values(buf, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_values_nonfinite_input_raises(self, bad):
+        x = np.zeros((2, 3))
+        x[1, 2] = bad
+        with pytest.raises(FloatingPointError):
+            ad.softmax_values(x, out=x)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -234,6 +256,27 @@ class TestCrossEntropy:
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
             ad.cross_entropy(ad.Tensor(np.zeros(4)), 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 20), n=st.integers(1, 50),
+           spread=st.sampled_from([1.0, 30.0, 1000.0]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_target_prob_is_the_softmax_entry(self, seed, rows, n, spread, dtype):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0, spread, (rows, n)).astype(dtype)
+        targets = rng.integers(0, n, size=rows)
+        loss, prob = ad.cross_entropy(ad.Tensor(x), targets, return_prob=True)
+        assert float(loss.data) == float(ad.cross_entropy(ad.Tensor(x), targets).data)
+        want = ad.softmax(ad.Tensor(x)).data[np.arange(rows), targets]
+        assert prob.dtype == want.dtype
+        np.testing.assert_array_equal(prob, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_target_prob_rejects_nonfinite_logits(self, bad):
+        x = np.zeros((2, 3))
+        x[1, 2] = bad  # not a target column: -inf leaves the loss finite
+        with pytest.raises(FloatingPointError):
+            ad.cross_entropy(ad.Tensor(x), np.array([0, 1]), return_prob=True)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)

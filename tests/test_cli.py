@@ -64,6 +64,24 @@ def test_eval_matches_training_test_metrics(data_dir, tmp_path, capsys):
     assert train_row.split()[1:] == eval_row.split()[1:]
 
 
+def test_eval_reads_a_run_directory_of_an_earlier_release(data_dir, tmp_path, capsys):
+    """Earlier releases saved moe_grad_to_experts, false unless asked; such
+    a run still evaluates, and one that trained the experts is refused."""
+    run_dir = tmp_path / "run"
+    assert main(["train", "--scenario", str(data_dir / "scenario.json"),
+                 "--out-dir", str(run_dir)] + FAST) == 0
+    train_row = [l for l in capsys.readouterr().out.splitlines() if l.startswith("fmoe")][0]
+    path = run_dir / "resolved_config.json"
+    saved = json.loads(path.read_text())
+    path.write_text(json.dumps({**saved, "moe_grad_to_experts": False}))
+    assert main(["eval", str(run_dir), "--split", "test"]) == 0
+    eval_row = [l for l in capsys.readouterr().out.splitlines() if l.startswith("fmoe")][0]
+    assert train_row.split()[1:] == eval_row.split()[1:]
+    path.write_text(json.dumps({**saved, "moe_grad_to_experts": True}))
+    assert main(["eval", str(run_dir), "--split", "test"]) == 2
+    assert "moe_grad_to_experts is retired" in capsys.readouterr().err
+
+
 def test_inspect_checkpoint_round_trip(data_dir, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["train", "--scenario", str(data_dir / "scenario.json"),
@@ -207,6 +225,28 @@ class TestErrorPaths:
             assert main(["eval", str(run_dir), "--split", "test"]) == 2
             err = capsys.readouterr().err
             assert str(path) in err and f"domain 'd1': {message}" in err
+
+    @pytest.mark.parametrize("source", ["scenario", "synthetic"])
+    def test_eval_rejects_a_missing_state_before_building(self, data_dir, tmp_path,
+                                                          monkeypatch, capsys, source):
+        run_dir = tmp_path / "run"
+        data_source = ["--scenario", str(data_dir / "scenario.json")]
+        if source == "synthetic":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"num_domains": 3, "items_per_domain": 40,
+                                        "users_per_domain": 80, "seed": 5}))
+            data_source = ["--synthetic", str(spec)]
+        assert main(["train", *data_source, "--out-dir", str(run_dir)] + FAST) == 0
+        path = run_dir / "states" / "d1.state.ckpt"
+        path.unlink()
+
+        def no_scenario(*args, **kwargs):
+            raise AssertionError("eval built a scenario although a state is missing")
+
+        monkeypatch.setattr("fedmoe.cli._load_scenario_from_config", no_scenario)
+        capsys.readouterr()
+        assert main(["eval", str(run_dir), "--split", "test"]) == 2
+        assert f"{path}: no saved state for domain 'd1'" in capsys.readouterr().err
 
     def test_conflicting_sources_exit_2(self, data_dir, tmp_path, capsys):
         cfg = {"scenario_manifest": str(data_dir / "scenario.json"),

@@ -165,6 +165,29 @@ class TestClientUpdate:
         assert [p.data.tobytes() for p in client.all_parameters()] == before
         assert client.optimizer.t == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("branch", [0, 1, 2])
+    def test_non_finite_logit_in_any_branch_raises_before_the_step(self, scenario, monkeypatch,
+                                                                   branch, bad):
+        """One bad logit, outside the target column so that -inf leaves the
+        branch's cross-entropy finite, stops the step before Adam runs."""
+        client = federation.build_client(scenario, "d1", small_config())
+        real_rec_loss = federation.rec_loss
+        calls = []
+
+        def poisoned_rec_loss(logits, targets, *args, **kwargs):
+            if len(calls) == branch:
+                logits.data[0, targets[0] % logits.data.shape[1]] = bad
+            calls.append(branch)
+            return real_rec_loss(logits, targets, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "rec_loss", poisoned_rec_loss)
+        before = [p.data.tobytes() for p in client.all_parameters()]
+        with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+            federation.client_update(client, None, 0)
+        assert [p.data.tobytes() for p in client.all_parameters()] == before
+        assert client.optimizer.t == 0
+
 
 class TestPrecision:
     @pytest.mark.parametrize("overrides, width", [({}, np.float32),
@@ -345,8 +368,8 @@ def _left_padded(items, t_max):
 
 
 class TestConfigKnobs:
-    """exclude_seen, gate_hidden_dim and moe_grad_to_experts, reached
-    through the federation's own entry points."""
+    """exclude_seen, gate_hidden_dim and the retired moe_grad_to_experts,
+    reached through the federation's own entry points."""
 
     def test_exclude_seen_ranks_without_seen_items(self, scenario, monkeypatch):
         # every row gets the same scores: item 7 first, item 3 second
@@ -384,26 +407,22 @@ class TestConfigKnobs:
             assert gates.shape == (len(targets), 3)
             np.testing.assert_allclose(gates.sum(axis=1), 1.0, rtol=1e-5)
 
-    def test_expert_gradient_option_reaches_branch_heads(self, scenario):
-        def head_and_gate_grads(flag):
-            client = federation.build_client(scenario, "d0",
-                                             small_config(moe_grad_to_experts=flag))
-            prefixes, targets = client.dataset.train_arrays()
-            rng = np.random.default_rng(0)
-            batch = prefixes[:32]
-            aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
-            with ad.Tape() as tape:
-                total, _ = federation.client_losses(client, batch, aug, targets[:32], rng)
-                ad.backward(total, tape)
-            heads = [b.head_out.tensor.grad.copy() for b in client.branches_in_order()]
-            return heads, client.gate.weight.tensor.grad.copy()
+    def test_negative_gate_hidden_dim_rejected_before_building(self, scenario, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a client was built for a negative gate_hidden_dim")
 
-        heads_off, gate_off = head_and_gate_grads(False)
-        heads_on, gate_on = head_and_gate_grads(True)
-        for off, on in zip(heads_off, heads_on):
-            assert np.abs(on - off).max() > 0
-        # the gate's own gradient is the same either way
-        np.testing.assert_array_equal(gate_on, gate_off)
+        monkeypatch.setattr(federation, "build_client", no_build)
+        with pytest.raises(ConfigError, match="gate_hidden_dim must be >= 0"):
+            federation.run(scenario, small_config(gate_hidden_dim=-1))
+
+    def test_retired_expert_gradient_field(self):
+        """Run directories of earlier releases saved moe_grad_to_experts:
+        false, the only behaviour left, is dropped; true is refused."""
+        payload = small_config().to_dict()
+        assert "moe_grad_to_experts" not in payload
+        assert RunConfig.from_dict({**payload, "moe_grad_to_experts": False}) == small_config()
+        with pytest.raises(ConfigError, match="moe_grad_to_experts"):
+            RunConfig.from_dict({**payload, "moe_grad_to_experts": True})
 
 
 class TestDeterminism:

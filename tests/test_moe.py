@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmoe import autodiff as ad
 from fedmoe import data, expert, moe
@@ -77,63 +79,182 @@ class TestGateForward:
         np.testing.assert_allclose(w.data, np.full((2, 3), 1 / 3), atol=1e-12)
 
 
+def reference_fuse(prob_list, gate_weights):
+    """The per-expert fusion chain of earlier releases (select, reshape,
+    mul and add per expert, branch distributions stop-gradiented): the
+    reference that the mixture op must match bit for bit."""
+    mixture = None
+    for e, probs in enumerate(prob_list):
+        w = ad.reshape(ad.select(gate_weights, axis=-1, index=e), (-1, 1))
+        term = ad.mul(w, ad.stop_gradient(probs))
+        mixture = term if mixture is None else ad.add(mixture, term)
+    return mixture
+
+
+def reference_moe_loss(mixture, target_items):
+    picked = ad.take_along_last(mixture, np.asarray(target_items) - 1)
+    return ad.scale(ad.tmean(ad.tlog(ad.add(picked, ad.Tensor(moe.EPS_FLOOR)))), -1.0)
+
+
+def fuse_logits(rng, batch, n, experts, dtype=np.float64):
+    return [rng.normal(0, 2, (batch, n)).astype(dtype) for _ in range(experts)]
+
+
 class TestFuse:
     def test_degenerate_gate_returns_local_distribution(self):
         rng = np.random.default_rng(2)
-        probs = [ad.Tensor(random_probs(rng, (4, 6))) for _ in range(3)]
+        logits = fuse_logits(rng, 4, 6, 3)
+        local = ad.softmax(ad.Tensor(logits[0])).data
         weights = ad.Tensor(np.tile([1.0, 0.0, 0.0], (4, 1)))
-        out = moe.fuse(probs, weights)
-        np.testing.assert_array_equal(out.mixture.data, probs[0].data)
+        mixture, _ = moe.fuse([ad.Tensor(x) for x in logits], weights, np.ones(4, dtype=int))
+        np.testing.assert_array_equal(mixture, local)
 
     def test_equal_weights_two_experts(self):
-        probs = [ad.Tensor(np.array([[1.0, 0.0]])), ad.Tensor(np.array([[0.0, 1.0]]))]
+        logits = [ad.Tensor(np.array([[50.0, 0.0]])), ad.Tensor(np.array([[0.0, 50.0]]))]
         weights = ad.Tensor(np.array([[0.5, 0.5]]))
-        out = moe.fuse(probs, weights)
-        np.testing.assert_allclose(out.mixture.data, [[0.5, 0.5]], atol=1e-12)
+        mixture, _ = moe.fuse(logits, weights, np.array([1]))
+        np.testing.assert_allclose(mixture, [[0.5, 0.5]], atol=1e-12)
 
     def test_length_mismatch_raises(self):
-        probs = [ad.Tensor(np.ones((2, 4)) / 4), ad.Tensor(np.ones((2, 5)) / 5)]
+        logits = [ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((2, 5)))]
         with pytest.raises(ShapeError):
-            moe.fuse(probs, ad.Tensor(np.full((2, 2), 0.5)))
+            moe.fuse(logits, ad.Tensor(np.full((2, 2), 0.5)), np.ones(2, dtype=int))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mixture_sums_to_one(self, seed):
         rng = np.random.default_rng(seed)
-        probs = [ad.Tensor(random_probs(rng, (8, 20))) for _ in range(3)]
+        logits = [ad.Tensor(x) for x in fuse_logits(rng, 8, 20, 3)]
         weights = ad.Tensor(random_probs(rng, (8, 3)))
-        out = moe.fuse(probs, weights)
-        np.testing.assert_allclose(out.mixture.data.sum(axis=-1), np.ones(8), atol=1e-5)
+        mixture, _ = moe.fuse(logits, weights, np.ones(8, dtype=int))
+        np.testing.assert_allclose(mixture.sum(axis=-1), np.ones(8), atol=1e-5)
 
     def test_one_hot_gate_preserves_expert_argmax(self):
         rng = np.random.default_rng(9)
-        probs = [ad.Tensor(random_probs(rng, (6, 12))) for _ in range(3)]
+        logits = fuse_logits(rng, 6, 12, 3)
+        argmax = [x.argmax(axis=-1) for x in logits]
         weights = np.zeros((6, 3))
         pick = rng.integers(0, 3, size=6)
         weights[np.arange(6), pick] = 1.0
-        out = moe.fuse(probs, ad.Tensor(weights))
+        mixture, _ = moe.fuse([ad.Tensor(x) for x in logits], ad.Tensor(weights),
+                              np.ones(6, dtype=int))
         for i in range(6):
-            assert out.mixture.data[i].argmax() == probs[pick[i]].data[i].argmax()
+            assert mixture[i].argmax() == argmax[pick[i]][i]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 300),
+           experts=st.integers(2, 4), dtype=st.sampled_from([np.float32, np.float64]),
+           gated=st.booleans())
+    def test_in_place_fusion_equals_softmax_and_reference_chain(self, seed, batch, experts,
+                                                                 dtype, gated):
+        """Row blocks, in-place softmax and in-place mixing change no bit:
+        the mixture is the reference chain's over ad.softmax, and each
+        branch NLL is read from that softmax."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        logits = fuse_logits(rng, batch, n, experts, dtype)
+        targets = rng.integers(1, n + 1, size=batch)
+        with ad.default_dtype(dtype):
+            weights = (ad.Tensor(random_probs(rng, (batch, experts)).astype(dtype)) if gated
+                       else moe.uniform_gate_weights(batch, experts))
+        probs = [ad.softmax(ad.Tensor(x)) for x in logits]
+        want = reference_fuse(probs, weights).data
+        mixture, branch_nll = moe.fuse([ad.Tensor(x.copy()) for x in logits], weights, targets)
+        assert mixture.dtype == dtype
+        np.testing.assert_array_equal(mixture, want)
+        np.testing.assert_array_equal(
+            branch_nll, np.stack([moe.target_nll(p.data, targets) for p in probs], axis=1))
+
+
+class TestMixtureOp:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 16),
+           experts=st.integers(2, 4), dtype=st.sampled_from([np.float32, np.float64]),
+           gated=st.booleans())
+    def test_target_column_loss_and_gate_gradient_equal_reference(self, seed, batch, experts,
+                                                                  dtype, gated):
+        """The fusion loss on each branch's target probability, taken from
+        its cross-entropy, has the value and gate gradient of the full
+        per-expert chain over softmax distributions."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        with ad.default_dtype(dtype):
+            logits = [ad.Tensor(x) for x in fuse_logits(rng, batch, n, experts, dtype)]
+            gate_logits = ad.Parameter(rng.normal(0, 1, (batch, experts)), "gate")
+            targets = rng.integers(1, n + 1, size=batch)
+
+            def loss_and_grads(fusion_loss):
+                gate_logits.tensor.grad = None
+                with ad.Tape() as tape:
+                    weights = (ad.softmax(gate_logits.tensor) if gated
+                               else moe.uniform_gate_weights(batch, experts))
+                    loss = fusion_loss(weights)
+                    if gated:
+                        ad.backward(loss, tape)
+                return loss.data, weights.grad, gate_logits.tensor.grad
+
+            want = loss_and_grads(lambda w: reference_moe_loss(
+                reference_fuse([ad.softmax(x) for x in logits], w), targets))
+            got = loss_and_grads(lambda w: moe.moe_loss(w, np.stack(
+                [expert.rec_loss(x, targets, return_prob=True)[1] for x in logits], axis=1)))
+        if not gated:
+            assert got[1:] == want[1:] == (None, None)
+            got, want = got[:1], want[:1]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 16),
+           experts=st.integers(2, 4), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_any_upstream_gradient_equals_reference(self, seed, batch, experts, dtype):
+        """Under any upstream gradient, mix gives the mixture and weight
+        gradient of the reference chain over one-column values."""
+        rng = np.random.default_rng(seed)
+        values = rng.random((batch, experts)).astype(dtype)
+        upstream = rng.normal(0, 1, batch).astype(dtype)
+
+        def run(mixture_of, upstream):
+            weights = ad.Tensor(random_probs(np.random.default_rng(seed), (batch, experts))
+                                .astype(dtype), requires_grad=True)
+            with ad.Tape() as tape:
+                mixture = mixture_of(weights)
+                ad.backward(ad.tsum(ad.mul(mixture, ad.Tensor(upstream))), tape)
+            return mixture.data.reshape(batch), weights.grad
+
+        want = run(lambda w: reference_fuse([ad.Tensor(values[:, e:e + 1])
+                                             for e in range(experts)], w), upstream[:, None])
+        got = run(lambda w: ad.mix(w, values), upstream)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_values_and_weights_must_agree(self):
+        with pytest.raises(ShapeError):
+            ad.mix(ad.Tensor(np.full((2, 3), 1 / 3)), np.ones((2, 2)))
+
+    def test_values_get_no_gradient_path(self):
+        """The branch values are a plain array: the op records the weights
+        as its only input, so nothing upstream of the values is reached."""
+        weights = ad.Tensor(np.full((2, 2), 0.5), requires_grad=True)
+        with ad.Tape() as tape:
+            ad.mix(weights, np.ones((2, 2)))
+        assert [node.inputs for node in tape.nodes] == [(weights,)]
 
 
 class TestMoeLoss:
     def test_certain_mixture_near_zero_loss(self):
-        mixture = np.zeros((1, 4))
-        mixture[0, 2] = 1.0
-        fusion = moe.FusionOutput(ad.Tensor(mixture), ad.Tensor(np.full((1, 2), 0.5)))
-        loss = moe.moe_loss(fusion, np.array([3]))
+        loss = moe.moe_loss(ad.Tensor(np.full((1, 2), 0.5)), np.array([[1.0, 1.0]]))
         assert float(loss.data) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_mixture_log4(self):
-        fusion = moe.FusionOutput(ad.Tensor(np.full((2, 4), 0.25)),
-                                  ad.Tensor(np.full((2, 2), 0.5)))
-        loss = moe.moe_loss(fusion, np.array([1, 4]))
+        loss = moe.moe_loss(ad.Tensor(np.full((2, 2), 0.5)), np.full((2, 2), 0.25))
         assert float(loss.data) == pytest.approx(math.log(4), abs=1e-6)
 
     def test_out_of_range_target(self):
-        fusion = moe.FusionOutput(ad.Tensor(np.full((1, 4), 0.25)),
-                                  ad.Tensor(np.full((1, 2), 0.5)))
+        """The loss's inputs come from each branch's cross-entropy, which
+        rejects a target outside the catalog."""
         with pytest.raises(IndexError):
-            moe.moe_loss(fusion, np.array([5]))
+            expert.rec_loss(ad.Tensor(np.zeros((1, 4))), np.array([5]), return_prob=True)
 
 
 def _padded(items, t_max=6):
@@ -164,10 +285,9 @@ def test_gate_only_learning_full_stack():
         for b in branches:
             z, logits = expert.encode_batch(b, adj, prefixes)
             zs.append(z)
-            probs.append(ad.softmax(logits, axis=-1))
+            probs.append(expert.rec_loss(logits, targets, return_prob=True)[1])
         weights = moe.gate_forward(zs, gate)
-        fusion = moe.fuse(probs, weights)
-        ad.backward(moe.moe_loss(fusion, targets), tape)
+        ad.backward(moe.moe_loss(weights, np.stack(probs, axis=1)), tape)
     opt.step()
 
     for b in branches:
@@ -194,36 +314,25 @@ def test_gate_downweights_uninformative_expert():
         targets = rng.integers(1, num_items + 1, size=batch)
         onehot = np.zeros((batch, num_items))
         onehot[np.arange(batch), targets - 1] = 1.0
-        probs = [ad.Tensor((1.0 + extra * onehot) / (num_items + extra))
-                 for extra in (10.0, 5.0)]
-        probs.append(ad.Tensor(np.full((batch, num_items), 1.0 / num_items)))
+        probs = [(1.0 + extra * onehot) / (num_items + extra) for extra in (10.0, 5.0)]
+        probs.append(np.full((batch, num_items), 1.0 / num_items))
         z_list = [ad.Tensor(rng.standard_normal((batch, width))) for _ in range(3)]
-        return z_list, probs, targets
+        at_target = np.stack([p[np.arange(batch), targets - 1] for p in probs], axis=1)
+        return z_list, at_target
 
     for _ in range(60):
-        z_list, probs, targets = step_inputs()
+        z_list, at_target = step_inputs()
         opt.zero_grad()
         with ad.Tape() as tape:
-            fusion = moe.fuse(probs, moe.gate_forward(z_list, gate))
-            ad.backward(moe.moe_loss(fusion, targets), tape)
+            ad.backward(moe.moe_loss(moe.gate_forward(z_list, gate), at_target), tape)
         opt.step()
 
-    z_list, _, _ = step_inputs()
+    z_list, _ = step_inputs()
     mean_weights = moe.gate_forward(z_list, gate).data.mean(axis=0)
     assert mean_weights[2] < 1 / 3, \
         f"uniform expert weighted {mean_weights[2]:.3f}, not below 1/3"
     assert mean_weights[2] < mean_weights[:2].min(), \
         f"uniform expert not the least weighted: {np.round(mean_weights, 3)}"
-
-
-def test_moe_gradient_reaches_experts_when_isolation_disabled():
-    rng = np.random.default_rng(31)
-    probs_params = [ad.Parameter(random_probs(rng, (3, 5)), f"p{i}") for i in range(2)]
-    weights = ad.Tensor(random_probs(rng, (3, 2)))
-    with ad.Tape() as tape:
-        fusion = moe.fuse([p.tensor for p in probs_params], weights, train_experts=True)
-        ad.backward(moe.moe_loss(fusion, np.array([1, 2, 3])), tape)
-    assert all(p.tensor.grad is not None for p in probs_params)
 
 
 def test_uniform_gate_weights_helper():

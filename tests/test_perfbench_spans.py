@@ -1,26 +1,39 @@
 """The benchmark's tracer wraps program functions by name, and its install()
 skips a name that no longer exists. A renamed function would then read zero
 in its per-layer metric with no failure, so every name it wraps must
-resolve here. The module is only imported, never installed.
+resolve here. A refactor that stops calling a traced name on some path
+would fail the benchmark's span checks, which run only in traced benchmark
+runs; the last test runs those checks on tiny runs. The benchmark's modules
+are only imported; nothing under perfbench/ is run as a script.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from fedmoe import federation
+
+from test_acceptance import tiny_config, tiny_scenario
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # names the tracer still lists although the program no longer has them
 RETIRED = {"_local_branch_losses"}
 
 
-@pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it loads
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load("spans")
 
 
 def test_every_traced_target_resolves(spans):
@@ -34,3 +47,25 @@ def test_every_traced_op_resolves(spans):
     from fedmoe import autodiff
 
     assert [op for op in spans.ALL_OPS if not hasattr(autodiff, op)] == []
+
+
+def test_each_workload_records_its_exercised_spans_and_none_it_bypasses(spans):
+    """A tiny run of each workload's kind and mode under the tracer: one
+    training round for a training workload, and for the evaluation workload
+    one evaluation of clients trained for a round."""
+    scenario = tiny_scenario()
+    for name, w in _load("workloads").WORKLOADS.items():
+        cfg = tiny_config(mode=w.config["mode"], rounds=1)
+        trained = federation.run(scenario, cfg) if w.kind == "eval" else None
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            if trained is None:
+                federation.run(scenario, cfg)
+            else:
+                federation.evaluate_all(trained.clients, "test", 0, cfg.mode)
+        finally:
+            tracer.uninstall()
+        recorded = set(tracer.summary()["spans"])
+        assert [s for s in w.exercised if s not in recorded] == [], name
+        assert [s for s in w.bypassed if s in recorded] == [], name

@@ -309,9 +309,11 @@ def fedavg_aggregate(checkpoints: list[ExpertCheckpoint]) -> ExpertCheckpoint:
 
 
 def _client_scores(client: ClientState, prefixes: np.ndarray, targets: np.ndarray,
-                   tables: list[Tensor]) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+                   tables: list[Tensor]
+                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Fused item distribution (batch, num_items), per-sample gate weights,
-    and the target NLL under each branch alone (batch, num_branches).
+    and the target NLL under each branch alone (batch, num_branches); a
+    single-branch client has neither gate weights nor branch NLLs.
 
     tables holds each branch's lookup table, in branch order, built once
     for all the chunks of a split. Softmaxes overwrite the logits."""
@@ -323,7 +325,7 @@ def _client_scores(client: ClientState, prefixes: np.ndarray, targets: np.ndarra
         logits_list.append(logits)
     if not client.global_branches:
         probs = ad.softmax_values(logits.data, out=logits.data)
-        return probs, None, target_nll(probs, targets)[:, None]
+        return probs, None, None
     if client.gate is not None:
         weights = gate_forward(z_list, client.gate)
     else:
@@ -354,9 +356,9 @@ def evaluate_client(client: ClientState, split: str) -> DomainMetrics:
                 exclude.discard(int(tgt[i]))
             ranks.append(rank_target(scores[i], int(tgt[i]), exclude))
         nll_sum += float(target_nll(scores, tgt).sum())
-        branch_nll_sum = branch_nll_sum + branch_nll.sum(axis=0)
         if gates is not None:
             gate_sum = gates.sum(axis=0) if gate_sum is None else gate_sum + gates.sum(axis=0)
+            branch_nll_sum = branch_nll_sum + branch_nll.sum(axis=0)
     count = len(targets)
     mrr, hr, ndcg = compute_metrics(ranks)
     gate_weights = tuple(float(x) for x in gate_sum / count) if gate_sum is not None else None

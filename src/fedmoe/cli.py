@@ -26,7 +26,8 @@ from . import autodiff as ad
 from . import federation
 from .checkpoint import ExpertCheckpoint
 from .config import MODE_POLICIES, MODES, SYNTHETIC_PRESETS, RunConfig
-from .data import ScenarioSpec, SyntheticSpec, generate_synthetic, load_scenario, write_scenario
+from .data import (ScenarioSpec, SyntheticSpec, generate_synthetic, load_scenario, read_manifest,
+                   write_scenario)
 from .errors import ConfigError, EmptyDatasetError, ParseError
 from .evaluation import MetricsReport, render_table
 
@@ -145,8 +146,7 @@ def _load_scenario_from_config(cfg: RunConfig) -> ScenarioSpec:
 def _domain_ids(cfg: RunConfig) -> list[str]:
     """The scenario's domain ids, read from the config without building it."""
     if cfg.scenario_manifest:
-        with open(cfg.scenario_manifest, encoding="utf-8") as fh:
-            return [entry["id"] for entry in json.load(fh)["domains"]]
+        return [domain_id for domain_id, _ in read_manifest(cfg.scenario_manifest)[0]]
     return cfg.synthetic_spec().domain_ids if cfg.synthetic else []
 
 

@@ -443,17 +443,37 @@ def load_domain(path, cfg: DataConfig | None = None, domain_id: str | None = Non
     return build_domain_dataset(domain_id, parse_domain_file(path), cfg)
 
 
-def load_scenario(manifest_path, cfg: DataConfig | None = None, seed: int = 0) -> ScenarioSpec:
+def read_manifest(manifest_path) -> tuple[list[tuple[str, Path]], int | None]:
+    """A scenario manifest's (domain id, file path) entries, relative paths
+    taken from the manifest's directory, and its seed if it gives one.
+
+    A manifest that is not a JSON object with a ``domains`` list of
+    ``{"id", "path"}`` string entries raises ``ConfigError`` naming the
+    manifest and the field.
+    """
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    domains = []
-    for entry in manifest["domains"]:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{manifest_path}: not a JSON manifest: {exc}") from None
+    domains = manifest.get("domains") if isinstance(manifest, dict) else None
+    if not isinstance(domains, list):
+        raise ConfigError(f"{manifest_path}: 'domains' must be a list of domain entries")
+    entries = []
+    for i, entry in enumerate(domains):
+        for field in ("id", "path"):
+            if not isinstance(entry, dict) or not isinstance(entry.get(field), str):
+                raise ConfigError(f"{manifest_path}: domains[{i}] needs a string {field!r}")
         path = Path(entry["path"])
-        if not path.is_absolute():
-            path = manifest_path.parent / path
-        domains.append(load_domain(path, cfg, domain_id=entry["id"]))
-    return ScenarioSpec(domains, seed=manifest.get("seed", seed))
+        entries.append((entry["id"], path if path.is_absolute() else manifest_path.parent / path))
+    return entries, manifest.get("seed")
+
+
+def load_scenario(manifest_path, cfg: DataConfig | None = None, seed: int = 0) -> ScenarioSpec:
+    entries, manifest_seed = read_manifest(manifest_path)
+    domains = [load_domain(path, cfg, domain_id=domain_id) for domain_id, path in entries]
+    return ScenarioSpec(domains, seed=seed if manifest_seed is None else manifest_seed)
 
 
 # ---------------------------------------------------------------------------

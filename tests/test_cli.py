@@ -6,6 +6,7 @@ import pytest
 
 from fedmoe.checkpoint import ExpertCheckpoint
 from fedmoe.cli import main
+from fedmoe.config import RunConfig
 
 FAST = ["--rounds", "1", "--local-epochs", "1", "--batch-size", "64",
         "--width", "16", "--blocks", "1", "--ff-mult", "2", "--gnn-depth", "1",
@@ -247,6 +248,24 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main(["eval", str(run_dir), "--split", "test"]) == 2
         assert f"{path}: no saved state for domain 'd1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, field", [
+        ("domains: d0.txt", "not a JSON manifest"),
+        ('{"seed": 1}', "'domains' must be a list"),
+        ('{"domains": [{"id": "d0", "path": "d0.txt"}, {"path": "d1.txt"}]}',
+         "domains[1] needs a string 'id'")], ids=["not-json", "no-domains", "entry-without-id"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_malformed_manifest_exit_2(self, tmp_path, capsys, command, text, field):
+        manifest, run_dir = tmp_path / "scenario.json", tmp_path / "run"
+        manifest.write_text(text)
+        if command == "train":
+            argv = ["train", "--scenario", str(manifest), "--out-dir", str(run_dir)] + FAST
+        else:  # a run directory whose config names the manifest
+            run_dir.mkdir()
+            RunConfig(scenario_manifest=str(manifest)).save(run_dir / "resolved_config.json")
+            argv = ["eval", str(run_dir)]
+        assert main(argv) == 2
+        assert f"error: {manifest}: {field}" in capsys.readouterr().err
 
     def test_conflicting_sources_exit_2(self, data_dir, tmp_path, capsys):
         cfg = {"scenario_manifest": str(data_dir / "scenario.json"),

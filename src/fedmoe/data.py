@@ -211,15 +211,6 @@ def filter_codes(codes: np.ndarray, lengths: np.ndarray, cfg: DataConfig
         alive, users = kept, ok
 
 
-def filter_sequences(rows: list[tuple[str, list[str]]], cfg: DataConfig
-                     ) -> list[tuple[str, list[str]]]:
-    """``filter_codes`` on parsed rows."""
-    codes, lengths, tokens = code_rows(rows)
-    codes, lengths, users = filter_codes(codes, lengths, cfg)
-    return _rows([rows[u][0] for u in users.tolist()], [tokens[c] for c in codes.tolist()],
-                 lengths)
-
-
 def first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct codes in order of first appearance, and each entry's
     dense id 1..n in that order."""
@@ -234,27 +225,14 @@ def first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, dense[codes]
 
 
-def remap_items(rows: list[tuple[str, list[str]]]
-                ) -> tuple[list[tuple[str, list[int]]], dict[str, int]]:
-    """Dense 1..n ids in order of first appearance."""
-    codes, lengths, tokens = code_rows(rows)
-    return (_rows([u for u, _ in rows], (codes + 1).tolist(), lengths),
-            {token: i for i, token in enumerate(tokens, start=1)})
-
-
 # ---------------------------------------------------------------------------
 # splitting
 # ---------------------------------------------------------------------------
 
 
-def withheld_count(n: int, ratio: float = 0.2) -> int:
-    """Interactions held out per user: the latest share, at least one
-    validation and one test target."""
-    return min(n - 1, max(2, round(ratio * n)))
-
-
 def withheld_counts(lengths: np.ndarray, ratio: float = 0.2) -> np.ndarray:
-    """``withheld_count`` of every length at once; both round half to even."""
+    """Interactions held out per user of each length: the latest share,
+    rounded half to even, at least one validation and one test target."""
     return np.minimum(lengths - 1, np.maximum(2, np.round(ratio * lengths))).astype(np.int64)
 
 
@@ -263,7 +241,7 @@ def split_positions(lengths, ratio: float = 0.2
     """(user rows, positions) of the train, valid and test samples of users
     with these sequence lengths, each in user order then position order.
 
-    A user's last ``withheld_count`` positions alternate into valid
+    A user's last ``withheld_counts`` positions alternate into valid
     (earlier) and test (later); every earlier position with at least one
     predecessor is a training sample.
     """
@@ -299,36 +277,9 @@ def _splits(ids: np.ndarray, lengths: np.ndarray, users: np.ndarray, positions, 
     return tuple(Split(windows[r, p], matrix[r, t_max + p], users[r]) for r, p in positions)
 
 
-def split_dataset(sequences: list[tuple[str, list[int]]], ratio: float = 0.2,
-                  t_max: int = 16) -> tuple[Split, Split, Split]:
-    """Latest-share split (see ``split_positions``) as train, valid and
-    test arrays."""
-    lengths = np.array([len(items) for _, items in sequences], dtype=np.int64)
-    ids = np.array([it for _, items in sequences for it in items], dtype=np.int64)
-    users = np.array([u for u, _ in sequences], dtype=str)
-    return _splits(ids, lengths, users, split_positions(lengths, ratio), t_max)
-
-
-def train_portions(sequences: list[tuple[str, list[int]]], ratio: float = 0.2
-                   ) -> list[list[int]]:
-    """The per-user item runs the adjacency may be built from."""
-    lengths = np.array([len(items) for _, items in sequences], dtype=np.int64)
-    kept = (lengths - withheld_counts(lengths, ratio)).tolist()
-    return [items[:n] for (_, items), n in zip(sequences, kept)]
-
-
 # ---------------------------------------------------------------------------
 # adjacency
 # ---------------------------------------------------------------------------
-
-
-def build_adjacency(train_sequences: list[list[int]], num_items: int) -> sp.csr_matrix:
-    """``transition_adjacency`` of the next-item transitions within these
-    training runs."""
-    flat = np.array([it for seq in train_sequences for it in seq], dtype=np.int64)
-    run = np.repeat(np.arange(len(train_sequences)), [len(seq) for seq in train_sequences])
-    follows = run[1:] == run[:-1]
-    return transition_adjacency(flat[:-1][follows], flat[1:][follows], num_items)
 
 
 def transition_adjacency(src: np.ndarray, dst: np.ndarray, num_items: int) -> sp.csr_matrix:

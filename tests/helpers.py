@@ -1,8 +1,21 @@
-"""Shared test oracles, independent of the code paths they check."""
+"""Shared test oracles, independent of the code paths they check, and
+test inputs built from short item runs."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+
+from fedmoe import data
+
+
+def build_adjacency(runs: list[list[int]], num_items: int) -> sp.csr_matrix:
+    """``data.transition_adjacency`` of the next-item transitions within
+    these item runs."""
+    flat = np.array([it for run in runs for it in run], dtype=np.int64)
+    run_of = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
+    follows = run_of[1:] == run_of[:-1]
+    return data.transition_adjacency(flat[:-1][follows], flat[1:][follows], num_items)
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

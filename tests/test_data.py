@@ -21,6 +21,8 @@ import scipy.sparse as sp
 from fedmoe import data
 from fedmoe.errors import ConfigError, EmptyDatasetError, ParseError
 
+from helpers import build_adjacency
+
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -69,12 +71,18 @@ def reference_sample(user, items, pos, t_max):
     return Sample(user, padded, items[pos])
 
 
+def withheld_count(n, ratio=0.2):
+    """Interactions held out of one user's n: the latest share, at least
+    one validation and one test target."""
+    return min(n - 1, max(2, round(ratio * n)))
+
+
 def reference_split_dataset(sequences, ratio=0.2, t_max=16):
     """One Sample object per sample, positions from a per-user loop."""
     train, valid, test = [], [], []
     for user, items in sequences:
         n = len(items)
-        w = data.withheld_count(n, ratio)
+        w = withheld_count(n, ratio)
         withheld = list(range(n - w, n))
         train.extend(reference_sample(user, items, p, t_max) for p in range(1, n - w))
         valid.extend(reference_sample(user, items, p, t_max) for p in withheld[0::2])
@@ -118,7 +126,7 @@ def reference_remap_items(rows):
 
 
 def reference_train_portions(sequences, ratio):
-    return [items[:len(items) - data.withheld_count(len(items), ratio)]
+    return [items[:len(items) - withheld_count(len(items), ratio)]
             for _, items in sequences]
 
 
@@ -155,6 +163,15 @@ def augment(prefix, beta, rng):
 
 def augment_row(prefix, beta, rng):
     return data.augment_batch(prefix[None, :], beta, rng)[0]
+
+
+def split_arrays(sequences, ratio=0.2, t_max=16):
+    """The train, valid and test ``Split`` of (user, item ids) rows, cut as
+    ``build_domain`` cuts them."""
+    lengths = np.array([len(items) for _, items in sequences], dtype=np.int64)
+    ids = np.array([it for _, items in sequences for it in items], dtype=np.int64)
+    users = np.array([u for u, _ in sequences], dtype=str)
+    return data._splits(ids, lengths, users, data.split_positions(lengths, ratio), t_max)
 
 
 def positions_of(n, ratio=0.2):
@@ -230,10 +247,13 @@ class TestFiltering:
             (f"u{i}", [f"i{rng.integers(0, 40)}" for _ in range(rng.integers(3, 25))])
             for i in range(120)
         ]
+        codes, lengths, _ = data.code_rows(rows)
         cfg = data.DataConfig()
-        once = data.filter_sequences(rows, cfg)
-        twice = data.filter_sequences(once, cfg)
-        assert once == twice
+        once = data.filter_codes(codes, lengths, cfg)
+        twice = data.filter_codes(once[0], once[1], cfg)
+        np.testing.assert_array_equal(twice[0], once[0])
+        np.testing.assert_array_equal(twice[1], once[1])
+        np.testing.assert_array_equal(twice[2], np.arange(len(once[1])))
 
     def test_filtered_lengths_inside_window(self):
         rng = np.random.default_rng(6)
@@ -242,9 +262,11 @@ class TestFiltering:
             for i in range(150)
         ]
         cfg = data.DataConfig()
-        for _, items in data.filter_sequences(rows, cfg):
-            assert cfg.min_len <= len(items) <= cfg.max_len
-            assert len(items) >= cfg.min_interactions
+        _, lengths, _ = data.filter_codes(*data.code_rows(rows)[:2], cfg)
+        assert len(lengths) > 0
+        for n in lengths.tolist():
+            assert cfg.min_len <= n <= cfg.max_len
+            assert n >= cfg.min_interactions
 
     def test_disabled_filters_keep_everything(self, tmp_path):
         p = write_lines(tmp_path, ["u1\ta b c", "u2\tb c a"])
@@ -288,7 +310,7 @@ class TestSplit:
             assert not (set(tr) & set(va)) and not (set(va) & set(te))
 
     def test_samples_are_left_padded(self):
-        train, _, _ = data.split_dataset([("u", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12])], t_max=16)
+        train, _, _ = split_arrays([("u", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12])], t_max=16)
         first = train.prefixes[0]
         assert first.shape == (16,)
         assert first[-1] == 3 and first[:-1].sum() == 0
@@ -299,19 +321,19 @@ class TestSplit:
         # ratio * n lands on a half for many n here, where both round to even
         lengths = np.arange(1, 2000)
         np.testing.assert_array_equal(data.withheld_counts(lengths, ratio),
-                                      [data.withheld_count(int(n), ratio) for n in lengths])
+                                      [withheld_count(int(n), ratio) for n in lengths])
 
     def test_prefix_truncated_to_window(self):
         items = list(range(1, 30))
         # 29 items withhold 6: valid positions 23, 25, 27 and test 24, 26, 28
-        _, valid, _ = data.split_dataset([("u", items)], t_max=8)
+        _, valid, _ = split_arrays([("u", items)], t_max=8)
         assert list(valid.prefixes[1]) == items[17:25]
         assert valid.targets[1] == items[25]
 
 
 class TestAdjacency:
     def test_chain_with_self_loops(self):
-        adj = data.build_adjacency([[1, 2, 3]], num_items=3)
+        adj = build_adjacency([[1, 2, 3]], num_items=3)
         dense = adj.toarray()
         np.testing.assert_allclose(dense[1], [0, 0.5, 0.5, 0])
         np.testing.assert_allclose(dense[2], [0, 0, 0.5, 0.5])
@@ -319,14 +341,14 @@ class TestAdjacency:
         np.testing.assert_allclose(dense[0], 0)
 
     def test_no_sequences_gives_pure_self_loops(self):
-        dense = data.build_adjacency([], num_items=4).toarray()
+        dense = build_adjacency([], num_items=4).toarray()
         np.testing.assert_allclose(dense[1:, 1:], np.eye(4))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         seqs = [list(rng.integers(1, 21, size=rng.integers(2, 12))) for _ in range(30)]
-        adj = data.build_adjacency(seqs, num_items=20)
+        adj = build_adjacency(seqs, num_items=20)
         sums = np.asarray(adj.sum(axis=1)).ravel()
         np.testing.assert_allclose(sums[1:], np.ones(20), atol=1e-12)
         assert sums[0] == 0
@@ -527,22 +549,14 @@ class TestMatchesReference:
         cfg = data.DataConfig(t_max=t_max, eval_ratio=ratio, apply_filters=filters,
                               min_interactions=2, min_len=2)
         for domain_id, rows in data.generate_raw_sequences(EQUALITY_SPECS[name]).items():
-            if filters:
-                rows = data.filter_sequences(rows, cfg)
-            remapped, mapping = data.remap_items(rows)
-            ds = data.build_domain_dataset(domain_id, rows, cfg)
-            for split, samples in zip((ds.train, ds.valid, ds.test),
-                                      reference_split_dataset(remapped, ratio, t_max)):
-                assert_split_matches(split, samples, t_max)
-            expected = reference_build_adjacency(
-                data.train_portions(remapped, ratio), len(mapping))
-            assert_same_csr(ds.adjacency, expected)
+            assert_same_domain(data.build_domain_dataset(domain_id, rows, cfg),
+                               reference_domain(domain_id, rows, cfg))
 
     def test_split_of_uneven_users(self):
         # lengths 1 and 2 give empty splits; long users are cut to t_max
         sequences = [(f"u{n}", list(range(1, n + 1))) for n in (1, 2, 3, 4, 9, 20, 31)]
         for t_max in (1, 4, 16):
-            got = data.split_dataset(sequences, 0.3, t_max)
+            got = split_arrays(sequences, 0.3, t_max)
             for split, samples in zip(got, reference_split_dataset(sequences, 0.3, t_max)):
                 assert_split_matches(split, samples, t_max)
 
@@ -550,10 +564,10 @@ class TestMatchesReference:
     def test_adjacency_of_random_runs(self, seed):
         rng = np.random.default_rng(seed)
         seqs = [list(rng.integers(1, 31, size=rng.integers(0, 12))) for _ in range(40)]
-        assert_same_csr(data.build_adjacency(seqs, 30), reference_build_adjacency(seqs, 30))
+        assert_same_csr(build_adjacency(seqs, 30), reference_build_adjacency(seqs, 30))
 
     def test_adjacency_without_runs(self):
-        assert_same_csr(data.build_adjacency([], 4), reference_build_adjacency([], 4))
+        assert_same_csr(build_adjacency([], 4), reference_build_adjacency([], 4))
 
     def test_bad_chain_row_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -594,8 +608,6 @@ def assert_builds_like_reference(int_rows, cfg):
     builds = [lambda: data.build_domain("d", codes, lengths, cfg, lambda u: int_rows[u][0],
                                         "i{}".format),
               lambda: data.build_domain_dataset("d", rows, cfg)]
-    assert data.filter_sequences(rows, cfg) == reference_filter_sequences(rows, cfg)
-    assert data.remap_items(rows) == reference_remap_items(rows)
     try:
         expected = reference_domain("d", rows, cfg)
     except EmptyDatasetError as exc:

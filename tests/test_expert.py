@@ -7,10 +7,10 @@ import pytest
 import scipy.sparse as sp
 
 from fedmoe import autodiff as ad
-from fedmoe import data, expert
+from fedmoe import expert
 from fedmoe.optim import Adam
 
-from helpers import gradient_close
+from helpers import build_adjacency, gradient_close
 
 TINY = expert.ModelConfig(width=8, blocks=1, heads=2, ff_mult=2, gnn_depth=1,
                           t_max=6, dropout=0.0)
@@ -46,7 +46,7 @@ class TestGnnPropagate:
         np.testing.assert_allclose(out.data, emb, atol=1e-12)
 
     def test_two_step_chain_matches_dense_oracle(self):
-        adj = data.build_adjacency([[1, 2, 3]], num_items=3)
+        adj = build_adjacency([[1, 2, 3]], num_items=3)
         rng = np.random.default_rng(2)
         emb = rng.standard_normal((4, 5))
         emb[0] = 0
@@ -56,7 +56,7 @@ class TestGnnPropagate:
         np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
     def test_padding_row_stays_zero(self):
-        adj = data.build_adjacency([[1, 2], [2, 3]], num_items=3)
+        adj = build_adjacency([[1, 2], [2, 3]], num_items=3)
         emb = np.ones((4, 3))
         emb[0] = 0
         out = expert.gnn_propagate(adj, ad.Tensor(emb), 2)
@@ -66,7 +66,7 @@ class TestGnnPropagate:
     def test_rows_stay_in_convex_hull_of_referenced_rows(self, seed):
         rng = np.random.default_rng(seed)
         seqs = [list(rng.integers(1, 9, size=5)) for _ in range(6)]
-        adj = data.build_adjacency(seqs, num_items=8)
+        adj = build_adjacency(seqs, num_items=8)
         emb = rng.standard_normal((9, 4))
         out = expert.gnn_propagate(adj, ad.Tensor(emb), 1).data
         for i in range(1, 9):
@@ -76,7 +76,7 @@ class TestGnnPropagate:
             assert ((out[i] >= lo) & (out[i] <= hi)).all()
 
     def test_gradient_reaches_embeddings(self):
-        adj = data.build_adjacency([[1, 2, 3]], num_items=3)
+        adj = build_adjacency([[1, 2, 3]], num_items=3)
         p = ad.Parameter(np.random.default_rng(3).standard_normal((4, 2)), "emb")
         with ad.Tape() as tape:
             out = expert.gnn_propagate(adj, p.tensor, 2)
@@ -89,7 +89,7 @@ class TestEncode:
         self.rng = np.random.default_rng(7)
         self.num_items = 10
         self.branch = expert.init_branch(self.rng, self.num_items, TINY)
-        self.adj = data.build_adjacency([[1, 2, 3, 4], [5, 6, 7]], self.num_items)
+        self.adj = build_adjacency([[1, 2, 3, 4], [5, 6, 7]], self.num_items)
 
     def encode(self, prefix, adj=None):
         """(z, logits) arrays of encode_batch on one prefix row."""
@@ -182,7 +182,7 @@ class TestFinalPositionPath:
         cfg = expert.ModelConfig(width=8, blocks=blocks, heads=heads, ff_mult=2,
                                  gnn_depth=1, t_max=6, dropout=dropout)
         branch = expert.init_branch(np.random.default_rng(3), 10, cfg)
-        adj = data.build_adjacency([[1, 2, 3, 4], [5, 6, 7], [8, 9, 10]], 10)
+        adj = build_adjacency([[1, 2, 3, 4], [5, 6, 7], [8, 9, 10]], 10)
         probe = np.random.default_rng(4).standard_normal((4, 8))
         params = ([branch.item_embeddings, branch.position_embeddings]
                   + branch.encoder.parameters())
@@ -335,7 +335,7 @@ class TestPackedMatchesDenseOracle:
         cfg = expert.ModelConfig(width=8, blocks=blocks, heads=heads, ff_mult=2,
                                  gnn_depth=1, t_max=6, dropout=0.3)
         branch = expert.init_branch(np.random.default_rng(3), 10, cfg)
-        adj = data.build_adjacency([[1, 2, 3, 4], [5, 6, 7], [8, 9, 10]], 10)
+        adj = build_adjacency([[1, 2, 3, 4], [5, 6, 7], [8, 9, 10]], 10)
         # lengths 5, 2, 6 (no padding), 1 and 3
         prefixes = np.stack([padded([1, 2, 3, 4, 5], 6), padded([6, 7], 6),
                              padded([1, 2, 3, 4, 5, 6], 6), padded([9], 6),
@@ -398,7 +398,7 @@ def test_full_branch_gradient_check_against_finite_differences():
     rng = np.random.default_rng(11)
     num_items = 10
     branch = expert.init_branch(rng, num_items, TINY)
-    adj = data.build_adjacency([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 1]], num_items)
+    adj = build_adjacency([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 1]], num_items)
     prefixes = np.stack([padded([1, 2, 3], 6), padded([4, 5], 6), padded([6, 7, 8, 9], 6)])
     aug = np.stack([padded([2, 1, 3], 6), padded([5, 4], 6), padded([6, 8, 7, 9], 6)])
     targets = np.array([4, 6, 10])
@@ -482,7 +482,7 @@ class TestFreezeContract:
         rng = np.random.default_rng(17)
         branch = expert.init_branch(rng, 10, TINY)
         branch.encoder.set_trainable(False)
-        adj = data.build_adjacency([[1, 2, 3]], 10)
+        adj = build_adjacency([[1, 2, 3]], 10)
         opt = Adam(branch.parameters(), lr=0.01)
         enc_before = {p.name: p.data.tobytes() for p in branch.encoder.parameters()}
         adapters_before = {p.name: p.data.tobytes() for p in branch.adapter_parameters()}
@@ -505,7 +505,7 @@ class TestFreezeContract:
     def test_padding_embedding_row_pinned_at_zero(self):
         rng = np.random.default_rng(19)
         branch = expert.init_branch(rng, 10, TINY)
-        adj = data.build_adjacency([[1, 2, 3]], 10)
+        adj = build_adjacency([[1, 2, 3]], 10)
         opt = Adam(branch.parameters(), lr=0.05)
         prefixes = np.stack([padded([1, 2], 6), padded([3], 6)])
         targets = np.array([3, 1])

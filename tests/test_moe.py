@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmoe import autodiff as ad
-from fedmoe import data, expert, moe
+from fedmoe import expert, moe
 from fedmoe.errors import ShapeError
 from fedmoe.optim import Adam
+
+from helpers import build_adjacency
 
 TINY = expert.ModelConfig(width=8, blocks=1, heads=1, ff_mult=2, gnn_depth=1,
                           t_max=6, dropout=0.0)
@@ -268,7 +270,7 @@ def test_gate_only_learning_full_stack():
     parameters and nothing else, byte for byte."""
     rng = np.random.default_rng(23)
     num_items = 10
-    adj = data.build_adjacency([[1, 2, 3, 4]], num_items)
+    adj = build_adjacency([[1, 2, 3, 4]], num_items)
     branches = [expert.init_branch(rng, num_items, TINY) for _ in range(3)]
     gate = moe.init_gate(3, TINY.width)
     gate.weight.tensor.data[:] = rng.normal(0, 0.1, gate.weight.data.shape)

@@ -18,34 +18,16 @@ index from a padded item matrix. The adjacency's edges are each training
 target and the item before it, deduplicated by one sort over integer
 codes. Strings are made only for surviving users and items.
 
-The synthetic generator makes the draws of one bounded integer and then
-one uniform per item, the words ``Generator.choice`` consumed, so a seed
-gives the same scenario bytes as in earlier releases. Those calls only
-consume the 64-bit words of the generator's PCG64, which ``_Words``
-fetches with ``random_raw``. ``integers(n)`` is numpy's 32-bit Lemire
-multiply-and-reject draw over a half-word buffer (a word's low half now,
-its high half at the next draw) and ``random()`` a whole word's top 53
-bits over 2**53. Unless a product is rejected, a user's item j takes the
-low half of a new word when H + j is even, H being 1 when the buffer is
-full at the user's first item, and the kept high half otherwise, and its
-uniform takes the next whole word: every item's words sit at positions
-known once the user's length and start-cluster draws are made. One pass
-over users makes those draws, and the chain and member draws then run
-for all users at once in ``uint64`` arrays, one item position at a time.
-Draws with no fixed position go through ``_Words`` one at a time: a user
-whose draws hit a rejected product (a draw bounded by n rejects with a
-chance below n / 2**32), and every user of a domain with a one-member
-cluster, whose member draw takes nothing. Closing the source rewinds the
-generator to where the scalar calls would have left it, buffer included;
-numpy leaves a used half in the buffer's ``uinteger`` field, so that is
-kept too.
+The synthetic generator draws each domain from its own generator, in
+arrays: every user's length, start cluster and chain uniforms at once,
+the cluster chain stepped for all users one position at a time, and one
+member draw per item (``draw_domains``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from bisect import bisect_right
 from collections.abc import Callable
 from pathlib import Path
 
@@ -174,12 +156,6 @@ def code_rows(rows: list[tuple[str, list[str]]]
     codes = [vocab.setdefault(it, len(vocab)) for _, items in rows for it in items]
     lengths = [len(items) for _, items in rows]
     return np.array(codes, dtype=np.int64), np.array(lengths, dtype=np.int64), list(vocab)
-
-
-def _rows(users: list[str], flat: list, lengths: np.ndarray) -> list[tuple[str, list]]:
-    """Flat items cut back into one (user, items) row per length."""
-    ends = np.cumsum(lengths).tolist()
-    return [(u, flat[end - n:end]) for u, end, n in zip(users, ends, lengths.tolist())]
 
 
 def filter_codes(codes: np.ndarray, lengths: np.ndarray, cfg: DataConfig
@@ -481,272 +457,43 @@ def _peaked_chain(rng: np.random.Generator, c: int) -> np.ndarray:
     return q
 
 
-def _choice_cdf(p: np.ndarray) -> list[float]:
-    """The CDF that ``Generator.choice(len(p), p=p)`` searches, after its
-    checks on p."""
-    if np.isnan(p).any():
-        raise ValueError("probabilities contain NaN")
-    if (p < 0).any():
-        raise ValueError("probabilities are not non-negative")
-    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
-        raise ValueError("probabilities do not sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
-
-
-class _Words:
-    """A PCG64 generator's 64-bit words, fetched with ``random_raw``, and
-    the numbers its scalar calls make from them.
-
-    ``bounded(n)`` equals ``integers(n)`` for 1 <= n <= 2**32: numpy's
-    32-bit Lemire draw over the generator's half-word buffer (a word's low
-    half is used first and its high half kept for the next draw), with the
-    rejection loop, and nothing drawn for n == 1. ``unit()`` equals
-    ``random()``: the next whole word's top 53 bits, buffer untouched.
-    ``ahead(n)`` shows at least n unused words for a caller that places
-    draws itself, and ``skip`` moves past the words it used and sets the
-    buffer. ``close()`` leaves the generator where those scalar calls would
-    have.
-    """
-
-    CHUNK = 4096  # words per fetch for scalar draws, 32 KB
-
-    def __init__(self, rng: np.random.Generator):
-        self._bitgen = rng.bit_generator
-        assert isinstance(self._bitgen, np.random.PCG64)
-        self._opened = self._bitgen.state
-        self.has_half, self.half = self._opened["has_uint32"], self._opened["uinteger"]
-        self._raw = np.empty(0, dtype=np.uint64)
-        self._next = 0     # the cursor in _raw
-        self._dropped = 0  # words used before _raw[0]
-
-    def ahead(self, n: int) -> np.ndarray:
-        """The unused words from the cursor on, at least n of them."""
-        have = len(self._raw) - self._next
-        if have < n:
-            fresh = self._bitgen.random_raw(max(n - have, self.CHUNK))
-            self._dropped += self._next
-            self._raw, self._next = np.concatenate([self._raw[self._next:], fresh]), 0
-        return self._raw[self._next:]
-
-    def skip(self, count: int, has_half: int, half: int) -> None:
-        """Mark ``count`` words used and set the half-word buffer."""
-        self._next += count
-        self.has_half, self.half = has_half, half
-
-    def _word(self) -> int:
-        word = int(self.ahead(1)[0])
-        self._next += 1
-        return word
-
-    def bounded(self, n: int) -> int:
-        if n == 1:
-            return 0
-        while True:
-            if self.has_half:
-                self.has_half = 0
-                m = self.half * n
-            else:
-                word = self._word()
-                self.has_half, self.half = 1, word >> 32
-                m = (word & 0xFFFFFFFF) * n
-            # reject the low products that would bias the result
-            if (m & 0xFFFFFFFF) >= n or (m & 0xFFFFFFFF) >= (1 << 32) % n:
-                return m >> 32
-
-    def unit(self) -> float:
-        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
-
-    def close(self) -> None:
-        """Rewind to the opening state, advance by the words used since,
-        and set the half-word buffer; numpy keeps a used half as
-        ``uinteger``."""
-        bitgen = self._bitgen
-        bitgen.state = self._opened
-        bitgen.advance(self._dropped + self._next)
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = self.has_half, self.half
-        bitgen.state = state
-
-
-@dataclasses.dataclass(frozen=True)
-class _Clusters:
-    """A domain's items grouped by cluster, and its chain: cluster k's
-    members are ``order[offsets[k]:offsets[k] + sizes[k]]``, in item
-    order, and ``cdf[k]`` is the CDF of its chain row."""
-
-    order: np.ndarray
-    offsets: np.ndarray
-    sizes: np.ndarray  # uint64, the Lemire draws' bounds
-    cdf: np.ndarray
-
-    @classmethod
-    def of(cls, assignment: np.ndarray, cdfs: list[list[float]]) -> "_Clusters":
-        sizes = np.bincount(assignment, minlength=len(cdfs)).astype(np.uint64)
-        return cls(np.argsort(assignment, kind="stable"),
-                   (np.cumsum(sizes) - sizes).astype(np.int64), sizes, np.array(cdfs))
-
-
-_LOW = 0xFFFFFFFF
-
-
-def _placed_users(words: _Words, spec: SyntheticSpec, clusters: _Clusters, count: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Up to ``count`` users drawn by word position, stopping before the
-    first one whose draws hit a rejected Lemire product; the cursor is
-    left after the last user placed. Returns the placed users' item ids,
-    flattened in user order, and their lengths.
-
-    Every cluster must have at least two members, so that every member
-    draw takes a half-word. One pass over users makes the length and
-    start-cluster draws and notes where each user's items start: word P,
-    with the half-word buffer full (H = 1) or empty. Item j's member draw
-    then takes the low half of a new word when H + j is even, and
-    otherwise the high half of the word fetched before it (word P - 1 for
-    j = 0); its uniform takes the next whole word. With every position
-    known, the chain and the member draws run for all users at once, one
-    item position at a time.
-    """
-    lo, hi, c = spec.min_len, spec.max_len, spec.num_clusters
-    span = hi - lo + 1
-    span_threshold, c_threshold = (1 << 32) % span, (1 << 32) % c
-    # a user takes at most one word for its first two draws and hi + hi / 2 for its
-    # items; the rest covers reads at positions past the last user's length
-    raw = words.ahead(count * (hi + (hi + 3) // 2) + 2 * hi + 2)
-    p, h, half = 0, words.has_half, words.half
-    starts, firsts = [], []  # per user: the cursor before its draws; (P, H, length, cluster)
-    for _ in range(count):
-        starts.append((p, h, half))
-        if span > 1:  # a length draw and a cluster draw take one new word either way
-            word = int(raw[p])
-            p += 1
-            x_len, x_c = (half, word & _LOW) if h else (word & _LOW, word >> 32)
-            half = word >> 32
-        elif h:  # only the cluster draw
-            x_len, x_c, h = 0, half, 0
-        else:
-            word = int(raw[p])
-            p += 1
-            x_len, x_c, h, half = 0, word & _LOW, 1, word >> 32
-        m_len, m_c = x_len * span, x_c * c
-        if m_len & _LOW < span_threshold or m_c & _LOW < c_threshold:
-            break
-        length = lo + (m_len >> 32)
-        firsts.append((p, h, length, m_c >> 32))
-        fresh = (length + 1 - h) // 2  # items whose member draw takes a new word
-        h ^= length & 1
-        if fresh:  # the high half of the last new word
-            half = int(raw[p + length + fresh - 3 + h]) >> 32
-        p += length + fresh
-    else:
-        starts.append((p, h, half))
-    first_p, first_h, lengths, k = np.array(firsts, dtype=np.int64).reshape(-1, 4).T
-    j = np.arange(hi)
-    even = (first_h[:, None] + j) % 2 == 0
-    at = first_p[:, None] + j + (j + 1 - first_h[:, None]) // 2
-    fetched = raw[np.where(even, at, at - 2 + (j == 0))]
-    x = np.where(even, fetched & _LOW, fetched >> 32)
-    uniform = (raw[at + even] >> 11) * (1.0 / 9007199254740992.0)
-    path = np.empty((len(firsts), hi), dtype=np.int64)
-    for t in range(hi):
-        path[:, t] = k
-        k = np.count_nonzero(clusters.cdf[k] <= uniform[:, t, None], axis=1)  # bisect_right
-    m = x * clusters.sizes[path]
-    thresholds = (1 << 32) % clusters.sizes
-    active = j < lengths[:, None]
-    rejected = np.flatnonzero(((m & _LOW < thresholds[path]) & active).any(axis=1))
-    placed = int(rejected[0]) if rejected.size else len(firsts)
-    members = clusters.offsets[path[:placed]] + (m[:placed] >> 32).astype(np.int64)
-    ids, lengths = clusters.order[members[active[:placed]]], lengths[:placed]
-    words.skip(*starts[placed])
-    return ids, lengths
-
-
-def _user_by_words(words: _Words, spec: SyntheticSpec, clusters: _Clusters) -> list[int]:
-    """One user's item ids from the scalar draws."""
-    length = spec.min_len + words.bounded(spec.max_len - spec.min_len + 1)
-    k = words.bounded(spec.num_clusters)
-    items = []
-    for _ in range(length):
-        member = words.bounded(int(clusters.sizes[k]))
-        items.append(int(clusters.order[clusters.offsets[k] + member]))
-        k = bisect_right(clusters.cdf[k], words.unit())
-    return items
-
-
-def _draw_users(words: _Words, spec: SyntheticSpec, clusters: _Clusters
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The item ids of a domain's users, flattened in user order, and the
-    users' lengths.
-
-    Users are placed by word position (``_placed_users``) up to one whose
-    draws hit a rejected product; that user is drawn by ``words`` one draw
-    at a time, and placing resumes after it. A one-member cluster's member
-    draw takes no half-word, so no item position is fixed in advance: a
-    domain that has one is drawn one draw at a time throughout.
-    """
-    users, done = spec.users_per_domain, 0
-    ids, lengths = [], []
-    while done < users:
-        if clusters.sizes.min() > 1:
-            placed_ids, placed_lengths = _placed_users(words, spec, clusters, users - done)
-            ids.append(placed_ids)
-            lengths.append(placed_lengths)
-            done += len(placed_lengths)
-            if done == users:
-                break
-        items = _user_by_words(words, spec, clusters)
-        ids.append(np.array(items, dtype=np.int64))
-        lengths.append([len(items)])
-        done += 1
-    return np.concatenate(ids), np.concatenate(lengths)
-
-
 def draw_domains(spec: SyntheticSpec) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each domain's item ids 0..items_per_domain - 1, flattened in user
     order, and its users' lengths.
 
-    Draw order: two chains' set-up draws per domain (the shared chain's
-    first), a shuffle of the item clusters, then per user one bounded
-    integer for the length and one for the start cluster, and per item one
-    bounded integer ``integers(size_k)`` picking a member of cluster k
-    followed by one uniform ``random()`` that picks the next cluster from
-    the chain row's CDF. These are exactly the words that
-    ``Generator.choice(members[k])`` and ``choice(c, p=chain[k])`` consume,
-    so scenarios are byte-identical to those of earlier releases, which
-    called ``choice`` per item.
-
-    The set-up draws and the shuffle are numpy calls. A domain's user draws
-    come from a ``_Words`` source opened after its shuffle and closed
-    before the next domain draws. Users are placed by word position
-    (``_placed_users``): a scalar pass over users makes the length and
-    start-cluster draws and notes where each user's items start, and the
-    chain and member draws then run for all users at once. The next
-    cluster is the count of CDF entries <= the uniform, which is what
-    ``bisect_right`` returns, and the member is the Lemire draw in
-    ``uint64``. A user with a rejected product is drawn through ``_Words``
-    one draw at a time and placing resumes after it; a domain with a
-    one-member cluster, possible only with fewer than two items per
-    cluster, is drawn that way throughout. On close the source sets the
-    generator's state, buffer and stale ``uinteger`` included, to where the
-    scalar calls would have left it, so every scenario and every later
-    draw is unchanged.
+    The shared chain comes from the root seed sequence of (seed, 0xDA7A),
+    and each domain draws from its own child of it, so a domain's draws do
+    not depend on the domains after it. A domain draws, in this order: its
+    private chain, a shuffle of the item clusters, every user's length,
+    every user's start cluster, and a (users, max_len) array of uniforms.
+    The next cluster is the count of entries of the chain row's CDF that
+    are <= the position's uniform, stepped for all users at once. Last,
+    one bounded integer per item, in user order and then position order,
+    picks a member of its cluster, the cluster's items taken in item order.
     """
     spec.validate()
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
-    c = spec.num_clusters
-    shared = _peaked_chain(rng, c)
+    root = np.random.SeedSequence([spec.seed, 0xDA7A])
+    c, users, hi = spec.num_clusters, spec.users_per_domain, spec.max_len
+    shared = _peaked_chain(np.random.default_rng(root), c)
     domains = {}
-    for dom in spec.domain_ids:
-        private = _peaked_chain(rng, c)
-        chain = spec.correlation * shared + (1.0 - spec.correlation) * private
-        cdfs = [_choice_cdf(row) for row in chain]
+    for dom, seed in zip(spec.domain_ids, root.spawn(spec.num_domains)):
+        rng = np.random.default_rng(seed)
+        chain = spec.correlation * shared + (1.0 - spec.correlation) * _peaked_chain(rng, c)
+        cdf = chain.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
         assignment = np.arange(spec.items_per_domain) % c
         rng.shuffle(assignment)
-        words = _Words(rng)
-        domains[dom] = _draw_users(words, spec, _Clusters.of(assignment, cdfs))
-        words.close()
+        lengths = rng.integers(spec.min_len, hi + 1, size=users)
+        k = rng.integers(c, size=users)
+        uniforms = rng.random((users, hi))
+        path = np.empty((users, hi), dtype=np.int64)
+        for t in range(hi):
+            path[:, t] = k
+            k = np.count_nonzero(cdf[k] <= uniforms[:, t, None], axis=1)
+        path = path[np.arange(hi) < lengths[:, None]]
+        sizes = np.bincount(assignment, minlength=c)
+        members = (np.cumsum(sizes) - sizes)[path] + rng.integers(sizes[path])
+        domains[dom] = np.argsort(assignment, kind="stable")[members], lengths
     return domains
 
 
@@ -757,8 +504,8 @@ def generate_raw_sequences(spec: SyntheticSpec) -> dict[str, list[tuple[str, lis
     for domain_id, (ids, lengths) in draw_domains(spec).items():
         tokens = np.array([f"{domain_id}:i{i}" for i in range(spec.items_per_domain)],
                           dtype=object)
-        scenario[domain_id] = _rows([f"{domain_id}:u{u}" for u in range(len(lengths))],
-                                    tokens[ids].tolist(), lengths)
+        rows = np.split(tokens[ids], np.cumsum(lengths)[:-1])
+        scenario[domain_id] = [(f"{domain_id}:u{u}", row.tolist()) for u, row in enumerate(rows)]
     return scenario
 
 

@@ -1,9 +1,9 @@
 """Preprocessing, split, adjacency, augmentation, and generator tests.
 
-The per-draw generator, the per-row filter and remap, the per-sample
-split, the set-based adjacency and the row-by-row augmentation of earlier
-releases are kept below as reference implementations; the array code must
-reproduce them exactly.
+The generator as a scalar loop over its draws, and the per-row filter and
+remap, the per-sample split, the set-based adjacency and the row-by-row
+augmentation of earlier releases, are kept below as reference
+implementations; the array code must reproduce them exactly.
 """
 
 import collections
@@ -30,30 +30,35 @@ from helpers import build_adjacency
 
 
 def reference_raw_sequences(spec):
-    """The generator with one ``choice`` call per draw."""
+    """The generator with one scalar call per draw, in its draw order."""
     spec.validate()
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
-    c = spec.num_clusters
-    shared = data._peaked_chain(rng, c)
+    root = np.random.SeedSequence([spec.seed, 0xDA7A])
+    c, users, hi = spec.num_clusters, spec.users_per_domain, spec.max_len
+    shared = data._peaked_chain(np.random.default_rng(root), c)
     scenario = {}
-    for d in range(spec.num_domains):
+    for d, seed in enumerate(root.spawn(spec.num_domains)):
         domain_id = f"d{d}"
+        rng = np.random.default_rng(seed)
         private = data._peaked_chain(rng, c)
         chain = spec.correlation * shared + (1.0 - spec.correlation) * private
+        cdfs = [(row.cumsum() / row.cumsum()[-1]).tolist() for row in chain]
         clusters = np.arange(spec.items_per_domain) % c
         rng.shuffle(clusters)
         members = [np.flatnonzero(clusters == k) for k in range(c)]
-        rows = []
-        for u in range(spec.users_per_domain):
-            length = int(rng.integers(spec.min_len, spec.max_len + 1))
-            k = int(rng.integers(c))
-            items = []
-            for _ in range(length):
-                item = int(rng.choice(members[k]))
-                items.append(f"{domain_id}:i{item}")
-                k = int(rng.choice(c, p=chain[k]))
-            rows.append((f"{domain_id}:u{u}", items))
-        scenario[domain_id] = rows
+        lengths = [int(rng.integers(spec.min_len, hi + 1)) for _ in range(users)]
+        starts = [int(rng.integers(c)) for _ in range(users)]
+        uniforms = [[rng.random() for _ in range(hi)] for _ in range(users)]
+        paths = []
+        for u in range(users):
+            k, path = starts[u], []
+            for t in range(lengths[u]):
+                path.append(k)
+                k = bisect_right(cdfs[k], uniforms[u][t])
+            paths.append(path)
+        scenario[domain_id] = [
+            (f"{domain_id}:u{u}",
+             [f"{domain_id}:i{members[k][int(rng.integers(len(members[k])))]}" for k in path])
+            for u, path in enumerate(paths)]
     return scenario
 
 
@@ -481,6 +486,41 @@ class TestSynthetic:
             assert len(ds.train) > 1000
             assert len(ds.valid) > 0 and len(ds.test) > 0
 
+    def test_more_domains_leave_the_first_domains_draws(self):
+        two = data.draw_domains(data.SyntheticSpec(num_domains=2, items_per_domain=40,
+                                                   users_per_domain=60, correlation=0.5, seed=8))
+        four = data.draw_domains(data.SyntheticSpec(num_domains=4, items_per_domain=40,
+                                                    users_per_domain=60, correlation=0.5, seed=8))
+        assert list(four) == ["d0", "d1", "d2", "d3"]
+        for dom in ("d0", "d1"):
+            for got, expected in zip(four[dom], two[dom]):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_cluster_transitions_follow_the_chain(self):
+        spec = data.SyntheticSpec(num_domains=2, items_per_domain=400, users_per_domain=5000,
+                                  min_len=12, max_len=16, correlation=0.5, seed=31)
+        c = spec.num_clusters
+        # the chains and cluster assignments, made by the generator's set-up draws
+        root = np.random.SeedSequence([spec.seed, 0xDA7A])
+        shared = data._peaked_chain(np.random.default_rng(root), c)
+        children = root.spawn(spec.num_domains)
+        for (ids, lengths), seed in zip(data.draw_domains(spec).values(), children):
+            rng = np.random.default_rng(seed)
+            chain = (spec.correlation * shared
+                     + (1.0 - spec.correlation) * data._peaked_chain(rng, c))
+            assignment = np.arange(spec.items_per_domain) % c
+            rng.shuffle(assignment)
+            clusters = assignment[ids]
+            same_user = np.repeat(np.arange(len(lengths)), lengths)
+            follows = same_user[1:] == same_user[:-1]
+            counts = np.zeros((c, c))
+            np.add.at(counts, (clusters[:-1][follows], clusters[1:][follows]), 1)
+            n = counts.sum(axis=1, keepdims=True)
+            assert n.sum() == lengths.sum() - len(lengths) > 60000
+            # five standard errors of a share out of n draws, at the widest: p(1 - p) <= 1/4
+            bound = 5 * 0.5 / np.sqrt(n)
+            assert (np.abs(counts / n - chain) <= bound).all(), np.abs(counts / n - chain).max()
+
 
 def test_domain_seed_keyed_rng_streams_reproducible():
     a = data.generate_raw_sequences(data.SyntheticSpec(users_per_domain=20, seed=1))
@@ -531,17 +571,38 @@ def made_generators(monkeypatch):
     return made
 
 
+def assert_generator_matches_the_scalar_loop(spec, made_generators):
+    """The scenario, and every generator's final state, of the array draws
+    and of ``reference_raw_sequences``."""
+    expected = reference_raw_sequences(spec)
+    count = len(made_generators)
+    got = data.generate_raw_sequences(spec)
+    assert got == expected
+    assert len(made_generators) == 2 * count == 2 * (1 + spec.num_domains)
+    for ref_rng, rng in zip(made_generators[:count], made_generators[count:]):
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestMatchesReference:
     @pytest.mark.parametrize("name", sorted(EQUALITY_SPECS))
-    def test_generator_draws_the_choice_stream(self, name, made_generators):
-        spec = EQUALITY_SPECS[name]
-        expected = reference_raw_sequences(spec)
-        got = data.generate_raw_sequences(spec)
-        ref_rng, rng = made_generators
-        assert got == expected
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert rng.random() == ref_rng.random()
-        assert rng.integers(1 << 40) == ref_rng.integers(1 << 40)
+    def test_generator_matches_the_scalar_loop(self, name, made_generators):
+        assert_generator_matches_the_scalar_loop(EQUALITY_SPECS[name], made_generators)
+
+    @given(st.data(), st.integers(2, 3), st.integers(2, 8), st.integers(1, 60),
+           st.integers(1, 8), st.integers(0, 8), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_specs_match_the_scalar_loop(self, draw, domains, clusters, users,
+                                                min_len, extra, correlation, seed):
+        # items_per_domain may equal the cluster count: one-member clusters
+        spec = data.SyntheticSpec(num_domains=domains, num_clusters=clusters,
+                                  items_per_domain=draw.draw(st.integers(clusters, 80)),
+                                  users_per_domain=users, min_len=min_len,
+                                  max_len=min_len + extra, correlation=correlation, seed=seed)
+        made = []
+        real = np.random.default_rng
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "default_rng", lambda *a: made.append(real(*a)) or made[-1])
+            assert_generator_matches_the_scalar_loop(spec, made)
 
     @pytest.mark.parametrize("t_max, ratio, filters", SPLIT_CONFIGS)
     @pytest.mark.parametrize("name", sorted(EQUALITY_SPECS))
@@ -568,15 +629,6 @@ class TestMatchesReference:
 
     def test_adjacency_without_runs(self):
         assert_same_csr(build_adjacency([], 4), reference_build_adjacency([], 4))
-
-    def test_bad_chain_row_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
-            data._choice_cdf(np.array([0.5, np.nan]))
-        with pytest.raises(ValueError, match="non-negative"):
-            data._choice_cdf(np.array([1.5, -0.5]))
-        with pytest.raises(ValueError, match="sum to 1"):
-            data._choice_cdf(np.array([0.5, 0.4]))
-        assert data._choice_cdf(np.array([0.25, 0.75])) == [0.25, 1.0]
 
 
 def reference_domain(domain_id, rows, cfg):
@@ -658,163 +710,31 @@ class TestBuilderMatchesReference:
                                       data.DataConfig(min_interactions=3))
 
 
-# SHA-256 over each written file's name and bytes, in name order, as the
-# per-draw generator wrote them
+# SHA-256 over each written file's name and bytes, in name order
 WRITTEN_SCENARIO_SHA256 = [
     (data.SyntheticSpec(items_per_domain=30, users_per_domain=60, seed=9),
-     "4fcccceaad67b0ec9270894d0c6fa49b3c14c9b2feaf60343ffa7de5e0c6d705"),
+     "63bc96fddb53160c91d53e66f41fcfe1002543d9494846f4af61b1e77da2c83e"),
     (data.SyntheticSpec(num_domains=2, items_per_domain=60, users_per_domain=40, min_len=3,
                         max_len=20, num_clusters=8, correlation=0.5, seed=3),
-     "cadf3b1c0cca6cf7682d43d5011b6e6cf6abe5bf49444cec85f27ebe88b57743"),
+     "62314f8b3dcf9010613817a07b4d5c3e180f5b4687eb3fb59e792ce273800959"),
     (data.SyntheticSpec(num_domains=4, items_per_domain=17, users_per_domain=25, min_len=5,
                         max_len=5, num_clusters=3, correlation=0.0, seed=12345),
-     "d8df2d4fbd3b663bf71176a1211af36f8161b0d8ae89a72a1d012587ac0e5404"),
-    # the eval_catalog benchmark's scenario: three 4096-word chunks per domain
+     "3aae2ebe7bf89a1d83bbd496b242bc4f385206128fda4712398b722fd2d81e35"),
+    # the eval_catalog benchmark's scenario at seed 101
     (data.SyntheticSpec(num_domains=3, items_per_domain=1000, users_per_domain=2000,
                         min_len=10, max_len=16, num_clusters=8, correlation=1.0, seed=101),
-     "6aef289c5416ea339f11b46c5ae07362da3976dfefd4496eec58bbb38e7787bd"),
+     "8fb77873c438ce7d1dfa69402e43f85e34e07a90ec1a0a8d58bc26d90d21ab61"),
 ]
 
 
-@pytest.mark.parametrize("spec, digest", WRITTEN_SCENARIO_SHA256)
+@pytest.mark.parametrize("spec, digest", WRITTEN_SCENARIO_SHA256,
+                         ids=[f"spec{i}" for i in range(len(WRITTEN_SCENARIO_SHA256))])
 def test_written_scenario_bytes_pinned(tmp_path, spec, digest):
     data.write_scenario(spec, tmp_path)
     h = hashlib.sha256()
     for f in sorted(tmp_path.iterdir()):
         h.update(f.name.encode() + b"\0" + f.read_bytes())
     assert h.hexdigest() == digest
-
-
-# ---------------------------------------------------------------------------
-# the word source against the scalar calls it stands in for
-# ---------------------------------------------------------------------------
-
-# a bound just over 3 * 2**30 rejects about a quarter of its products
-REJECTING = 3 * 2**30 + 1
-
-
-def assert_words_match_scalar_calls(draws, seed=0, warm_up=0):
-    """``draws`` lists bounds, 0 meaning a uniform; both generators first
-    make ``warm_up`` ``integers(5)`` calls, which sets the half-word buffer."""
-    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(warm_up):
-        ref.integers(5), rng.integers(5)
-    words = data._Words(rng)
-    got = [words.bounded(n) if n else words.unit() for n in draws]
-    words.close()
-    assert got == [int(ref.integers(n)) if n else ref.random() for n in draws]
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.random() == ref.random()
-    assert rng.integers(1 << 40) == ref.integers(1 << 40)
-
-
-class TestWords:
-    @pytest.mark.parametrize("warm_up", [0, 1, 2])  # buffer empty, full, empty and stale
-    @pytest.mark.parametrize("draws", [[7, 0, 1, 0, 3, 3, 0, 1, 1, 125, 0, 0, 2**32, 8, 1],
-                                       [5], [5, 5], [5, 0, 5, 0, 5], [0], [1], []])
-    def test_interleaved_draws(self, draws, warm_up):
-        assert_words_match_scalar_calls(draws, seed=4, warm_up=warm_up)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_across_chunk_boundaries(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        bounds = np.array([0, 0, 1, 2, 7, 125, 1000, REJECTING])
-        draws = bounds[rng.integers(len(bounds), size=3 * data._Words.CHUNK)].tolist()
-        assert_words_match_scalar_calls(draws, seed=seed, warm_up=seed)
-
-    @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_close_at_the_chunk_end(self, extra):
-        assert_words_match_scalar_calls([0] * (data._Words.CHUNK + extra), seed=2)
-        assert_words_match_scalar_calls([6] * (2 * data._Words.CHUNK + extra), seed=2)
-
-    @pytest.mark.parametrize("warm_up", [0, 1])
-    def test_lemire_rejection_loop(self, warm_up):
-        # the first halves of seed 3's stream hold products below the threshold
-        raw = np.random.default_rng(3).bit_generator.random_raw(64)
-        halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist()
-        threshold = (1 << 32) % REJECTING
-        assert sum((h * REJECTING) & 0xFFFFFFFF < threshold for h in halves) > 10
-        assert_words_match_scalar_calls([REJECTING] * 100 + [0, REJECTING, 1] * 20,
-                                        seed=3, warm_up=warm_up)
-
-
-# ---------------------------------------------------------------------------
-# users placed by word position against the scalar draws
-# ---------------------------------------------------------------------------
-
-
-def scalar_users(words, spec, assignment, cdfs):
-    """Every user's items from ``words``' scalar draws, and the rejected
-    products met, counted for the first two draws and for member draws."""
-    c = spec.num_clusters
-    members = [np.flatnonzero(assignment == k) for k in range(c)]
-    rejected = {"first": 0, "member": 0}
-
-    def draw(n, kind):
-        before = 2 * (words._dropped + words._next) - words.has_half  # half-words used
-        value = words.bounded(n)
-        used = 2 * (words._dropped + words._next) - words.has_half - before
-        rejected[kind] += n > 1 and used > 1
-        return value
-
-    ids, lengths = [], []
-    for _ in range(spec.users_per_domain):
-        length = spec.min_len + draw(spec.max_len - spec.min_len + 1, "first")
-        k = draw(c, "first")
-        for _ in range(length):
-            ids.append(int(members[k][draw(len(members[k]), "member")]))
-            k = bisect_right(cdfs[k], words.unit())
-        lengths.append(length)
-    return ids, lengths, rejected
-
-
-class TestPlacedUsers:
-    @pytest.mark.parametrize("min_len, max_len", [(4, 10), (6, 6)])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_rejected_products_are_drawn_like_words(self, seed, min_len, max_len):
-        # clusters of 7, 3 clusters and 7 lengths: no bound is a power of two,
-        # so a zero half-word is a rejected product in every kind of draw
-        spec = data.SyntheticSpec(num_domains=2, items_per_domain=21, users_per_domain=120,
-                                  min_len=min_len, max_len=max_len, num_clusters=3, seed=seed)
-        setup = np.random.default_rng(seed)
-        assignment = np.arange(21) % 3
-        setup.shuffle(assignment)
-        cdfs = [data._choice_cdf(row) for row in data._peaked_chain(setup, 3)]
-        planted = setup.random((2, data._Words.CHUNK)) < 0.08
-        generators, sources = [], []
-        for _ in range(2):
-            generators.append(np.random.default_rng(100 + seed))
-            sources.append(data._Words(generators[-1]))
-            raw = sources[-1].ahead(data._Words.CHUNK)
-            raw[planted[0]] &= np.uint64(0xFFFFFFFF00000000)  # zero low halves
-            raw[planted[1]] &= np.uint64(0xFFFFFFFF)          # zero high halves
-        ids, lengths = data._draw_users(sources[0], spec, data._Clusters.of(assignment, cdfs))
-        expected_ids, expected_lengths, rejected = scalar_users(sources[1], spec, assignment,
-                                                                cdfs)
-        assert rejected["first"] > 0 and rejected["member"] > 0
-        assert ids.tolist() == expected_ids and lengths.tolist() == expected_lengths
-        for words in sources:
-            words.close()
-        assert generators[0].bit_generator.state == generators[1].bit_generator.state
-
-    @given(st.data(), st.integers(2, 3), st.integers(2, 8), st.integers(1, 60),
-           st.integers(1, 8), st.integers(0, 8), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_random_specs_match_the_choice_stream(self, draw, domains, clusters, users,
-                                                  min_len, extra, correlation, seed):
-        spec = data.SyntheticSpec(num_domains=domains, num_clusters=clusters,
-                                  items_per_domain=draw.draw(st.integers(clusters, 80)),
-                                  users_per_domain=users, min_len=min_len,
-                                  max_len=min_len + extra, correlation=correlation, seed=seed)
-        made = []
-        real = np.random.default_rng
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.random, "default_rng", lambda *a: made.append(real(*a)) or made[-1])
-            expected = reference_raw_sequences(spec)
-            got = data.generate_raw_sequences(spec)
-        assert got == expected
-        ref_rng, rng = made
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSplitArrays:

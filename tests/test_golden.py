@@ -25,38 +25,38 @@ from test_acceptance import tiny_config, tiny_scenario
 
 # mode: (records, server cache state), dropout 0.1
 GOLDEN_SHA256 = {
-    "fmoe": ("245c371d01cfa9dd544f6fb0fa7862c18ff89fbdd92d000c17508050a0025eca",
-             "7a94f63ae4db2ec7ef047e620f4217a78a3349615749b87359d9a1136a90323a"),
-    "local_only": ("b9c294ecee05a9e095529d28ad8648ca329b98bc9405b3392cce1b2258506e9c",
-                   "17f5a6106b7e533409c7bb5a981e55b670b778f187770c82cc797650a6b29e09"),
-    "fedavg": ("81382178053d15a59022c3ea8f85dcf1f1c0c5f64cbfb911d79cb82481070417",
-               "efd8fa4b7807ed6920e6c38001b997bd96a44fb78ba634d7f51fa6303a6bf06f"),
-    "no_gate": ("cd621ba9e1321dbfffa0bae9437e2c1c21e4abee9a800b2f53d1a81e16c87619",
-                "7a94f63ae4db2ec7ef047e620f4217a78a3349615749b87359d9a1136a90323a"),
-    "no_freeze": ("9c8347b010391cb16e4ec75e615fe1be7b9ccafd4780fb5c07c5a87edf39c6fd",
-                  "7a94f63ae4db2ec7ef047e620f4217a78a3349615749b87359d9a1136a90323a"),
-    "drop_expert": ("d809972dafe4519a0d73ecd3dc7283d6e9dfc658e77bda8f2ac8aa1a7afda613",
-                    "cc67340a7767bca47fdb948d5970183011b39f47c6e6a370822da62b3c722106"),
-    "two_phase": ("7bcc84df4bd7ec7109a658c7eb7e6f723bb3609018ef0d050ff9ecf098bde5fc",
-                  "dd8c091d10653a43653e7e14b54d0e9b6eb0e3f819724458b807efeea666d9fd"),
+    "fmoe": ("e637e580190573e4b6f804ee305f70aa1c836665837b397595328019d333257b",
+             "08ac3b0092f5f11d0da45e507bfca0480bf703ee9b8c5db09e90798974972a95"),
+    "local_only": ("e32b549b1e4f688a287e04d1e7ceaa6b28fd4250f56c3124fd253d27e7d6c886",
+                   "301d681c9fcdd651da568ea5464df4ee6bf64470a479fb6c2de7846e4c571898"),
+    "fedavg": ("9cbef45d66328f4ee5b7a7064f55d25571b6b296eda2fd05c5ee6fc885d5672b",
+               "c50bdb8d3e4ad38e98c6d7a95e150d0f140902c4919b5f2412296b1e4143f691"),
+    "no_gate": ("384d0d139005898660965109c949c58e90b228e7a10b26abbe5fcedd09227589",
+                "08ac3b0092f5f11d0da45e507bfca0480bf703ee9b8c5db09e90798974972a95"),
+    "no_freeze": ("265bdf25526fc952d561f998796e9b14bb7e3346565766616a2b125ca4da9e2e",
+                  "08ac3b0092f5f11d0da45e507bfca0480bf703ee9b8c5db09e90798974972a95"),
+    "drop_expert": ("3d8bc24c290ea4cd10fdd1f10f3818dce6a5e8c2f3d55d7d547c911f471dd292",
+                    "da2c921e2588b661a17f27cc176a5fe87457d503241ffff9f31cf724385513ce"),
+    "two_phase": ("b31567dcea079952d307f6a7e03fc54256a4b4d9826e1d985ec2a05da6a51fad",
+                  "61851a77dd0deb303c1b17f02dc36ab052c12ea090e3abb4b1276501f0509637"),
 }
 
 # mode: (records, server cache state), dropout 0.0
 GOLDEN_NO_DROPOUT_SHA256 = {
-    "fmoe": ("419b2abd29c58a5592653939195cee140182f6267823180dd571193030656ca3",
-             "d097cce63924db8f21691b28291cafa3ba002452bfe08c8b6eea744299fce98a"),
-    "local_only": ("7c2ef9003bb2c965d1cd57c344d03860c65117e3055a7a8c5a4c85f56b439113",
-                   "17f5a6106b7e533409c7bb5a981e55b670b778f187770c82cc797650a6b29e09"),
-    "fedavg": ("845f5f924016eca3e9bc96956504a5b9c9019bc5ec55a797243cd89115f6d292",
-               "d045e59f727435e556f95a3801dec0512b7f3d5d2978e973b56ab9f27ffb2abb"),
-    "no_gate": ("9eceb942e17d56b6e7ecda4f231aa0bedec6002088ed26f4771538d3216d815e",
-                "d097cce63924db8f21691b28291cafa3ba002452bfe08c8b6eea744299fce98a"),
-    "no_freeze": ("48603e3f344db8a7bffc687f29ac508abf23602a3e4169a6f2dd32c5c16a3ee4",
-                  "d097cce63924db8f21691b28291cafa3ba002452bfe08c8b6eea744299fce98a"),
-    "drop_expert": ("e7b3137cd7dbe72d2f92af92d993492e7f1e8284b0481770d6af70614de47581",
-                    "d097cce63924db8f21691b28291cafa3ba002452bfe08c8b6eea744299fce98a"),
-    "two_phase": ("9450dc86ca2127d7006efdf12cef718d8a4bad58aa496ac8fead6c25ef4c63ea",
-                  "9aa12139680d978fe45c9c17c7564b1dbfc97538ede7ae1f497bb359f42e04a2"),
+    "fmoe": ("6586af9c34160cbbdb35fe8301f9617e856612c06f5c75656cdb43812d406370",
+             "853ccccbcb4be4ea76d7bb819a527e78a737343a4dde7c0ad287baf6924fb3f6"),
+    "local_only": ("220372e6b1c68e7d8df13d3a7b705543c208c83fa27a968784b1c97f99ddc2dd",
+                   "301d681c9fcdd651da568ea5464df4ee6bf64470a479fb6c2de7846e4c571898"),
+    "fedavg": ("e232f2db629ccd27ac053ed08e0d1b59eb8f7ac1d3c2ef32b9532ad7ad2b14a1",
+               "d510977d2ee3c91606713d035d33cea2ab99b9d18440dd0742851814745a3f16"),
+    "no_gate": ("8956fe918717677fc6ac98a6a937c242339300b30a92636a0e59e50cb09bc66f",
+                "853ccccbcb4be4ea76d7bb819a527e78a737343a4dde7c0ad287baf6924fb3f6"),
+    "no_freeze": ("8361c7b87cda43148a46d56a578e2e695be23f44571ddeda3518b715f29b8f50",
+                  "853ccccbcb4be4ea76d7bb819a527e78a737343a4dde7c0ad287baf6924fb3f6"),
+    "drop_expert": ("8910e8e6c72e2a7dddc6560bf8fb9b3cc9ee0d933e8220f1840305d59fe5bb58",
+                    "853ccccbcb4be4ea76d7bb819a527e78a737343a4dde7c0ad287baf6924fb3f6"),
+    "two_phase": ("755db0ee8c45ae887a757991474dc006851697b46cfad330bb6cc7fb982e8410",
+                  "b69c05b60fac4835e5bd352cf0bff65bcff37831431889f07f6d8b8e34309349"),
 }
 
 

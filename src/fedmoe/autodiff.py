@@ -131,12 +131,17 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of differentiable operations for one forward pass."""
+    """Ordered record of differentiable operations for one forward pass.
 
-    __slots__ = ("nodes",)
+    backward runs once per tape: it releases each node's backward function
+    as it goes, and marks the tape released.
+    """
+
+    __slots__ = ("nodes", "released")
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.released = False
 
     def __enter__(self):
         stack = getattr(_state, "tapes", None)
@@ -168,18 +173,27 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad of every tensor requiring it."""
+    """Accumulate d(loss)/d(tensor) into .grad of every tensor requiring it.
+
+    Each node's backward function is dropped once its turn has come, so
+    what it captured (masks, cached activations) is freed during the pass;
+    node outputs and their gradients stay. A tape runs backward once.
+    """
     tape = tape if tape is not None else active_tape()
     if tape is None or not tape.nodes:
         raise ValueError("backward called with an empty or missing tape")
+    if tape.released:
+        raise ValueError("backward already ran on this tape and released its backward functions")
     if loss.data.ndim != 0:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
+    tape.released = True
     loss.grad = np.ones((), dtype=loss.data.dtype)
     for node in reversed(tape.nodes):
+        backward_fn, node.backward_fn = node.backward_fn, None
         out_grad = node.out.grad
         if out_grad is None:
             continue
-        grads = node.backward_fn(out_grad)
+        grads = backward_fn(out_grad)
         for inp, g in zip(node.inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
@@ -391,8 +405,13 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def gather_rows(table, ids) -> Tensor:
-    """Row lookup out[..., :] = table[ids]; backward scatter-adds into rows."""
+def gather_rows(table, ids, onehots: dict | None = None) -> Tensor:
+    """Row lookup out[..., :] = table[ids]; backward scatter-adds into rows.
+
+    onehots, when given, keeps the backward's one-hot matrix of these ids
+    by table rows and dtype, so lookups that share an index array build
+    it once.
+    """
     table = as_tensor(table)
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows: table must be 2-d, got {table.data.shape}")
@@ -403,9 +422,14 @@ def gather_rows(table, ids) -> Tensor:
         # one-hot (rows, n) product: each row sums its lookups in position
         # order, exactly what a scatter-add gives, without np.add.at's cost
         rows, d = table.data.shape
-        flat = ids.ravel()
-        onehot = sp.csr_matrix((np.ones(flat.size, dtype=g.dtype), (flat, np.arange(flat.size))),
-                               shape=(rows, flat.size))
+        key = (rows, g.dtype)
+        onehot = onehots.get(key) if onehots is not None else None
+        if onehot is None:
+            flat = ids.ravel()
+            onehot = sp.csr_matrix((np.ones(flat.size, dtype=g.dtype),
+                                    (flat, np.arange(flat.size))), shape=(rows, flat.size))
+            if onehots is not None:
+                onehots[key] = onehot
         return (onehot @ g.reshape(-1, d),)
 
     return _record(out, (table,), bwd)
@@ -561,11 +585,75 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     a = as_tensor(a)
     if p <= 0.0:
         return a
-    keep = 1.0 - p
-    draw_dtype = np.float32 if a.data.dtype == np.float32 else np.float64
-    mask = (rng.random(a.data.shape, dtype=draw_dtype) < keep).astype(a.data.dtype) / keep
+    mask = _dropout_mask(a.data, p, rng)
     out = Tensor(a.data * mask)
     return _record(out, (a,), lambda g: (g * mask,))
+
+
+def _dropout_mask(a: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask of a's shape and width from a.size uniforms."""
+    keep = 1.0 - p
+    draw_dtype = np.float32 if a.dtype == np.float32 else np.float64
+    return (rng.random(a.shape, dtype=draw_dtype) < keep).astype(a.dtype) / keep
+
+
+def pooled_attention(h, r, rows, bias: np.ndarray, scale: float, p: float = 0.0,
+                     rng: np.random.Generator | None = None) -> Tensor:
+    """One query per sequence attending over packed states: the pooled
+    states (batch, heads, d) of
+
+        hs = scatter_rows(h, rows, (batch, t))               # (batch, t, d)
+        y = softmax(scale * matmul(hs, r) + bias, axis=1)    # (batch, t, heads)
+        attn = dropout(swapaxes(y, 1, 2), p, rng)            # (batch, heads, t)
+        out = matmul(attn, hs)
+
+    for packed states h (n, d) at distinct rows of the flattened (batch, t)
+    layout, per-head query vectors r (batch, d, heads) and a constant
+    additive bias (batch, t, 1). The forward runs that chain's numpy calls
+    and draws its dropout numbers, so the output is the same bit for bit.
+
+    The backward gives h's gradient at its own rows only. With one head
+    both outer products of the chain's state gradient are elementwise
+    products at those rows, so no padded gradient is formed; with more
+    heads the padded products are formed and the rows taken. The chain
+    summed the same two terms, so the gradients are bit-identical too.
+    """
+    h, r = as_tensor(h), as_tensor(r)
+    d = h.data.shape[-1]
+    b, t = bias.shape[:2]
+    rows = np.asarray(rows)
+    scale = float(scale)
+    hs = np.zeros((b * t, d), dtype=h.data.dtype)
+    hs[rows] = h.data
+    hs = hs.reshape(b, t, d)
+    y = softmax_values(np.matmul(hs, r.data) * scale + bias, axis=1)
+    attn = np.swapaxes(y, 1, 2)
+    mask = None
+    if rng is not None and p > 0.0:
+        mask = _dropout_mask(attn, p, rng)
+        attn = attn * mask
+    out = Tensor(np.matmul(attn, hs))
+
+    def bwd(g):
+        g_attn = _product(g, np.swapaxes(hs, -1, -2))
+        if mask is not None:
+            g_attn = g_attn * mask
+        g_y = np.swapaxes(g_attn, 1, 2)
+        g_scores = y * (g_y - (g_y * y).sum(axis=1, keepdims=True)) * scale
+        gh = gr = None
+        if h.requires_grad:
+            if r.data.shape[-1] == 1:
+                bi, ti = np.divmod(rows, t)
+                gh = attn[bi, 0, ti][:, None] * g[bi, 0] + g_scores[bi, ti] * r.data[bi, :, 0]
+            else:
+                g_hs = (_product(np.swapaxes(attn, -1, -2), g)
+                        + _product(g_scores, np.swapaxes(r.data, -1, -2)))
+                gh = g_hs.reshape(-1, d)[rows]
+        if r.requires_grad:
+            gr = _product(np.swapaxes(hs, -1, -2), g_scores)
+        return gh, gr
+
+    return _record(out, (h, r), bwd)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -18,9 +18,14 @@ row-major order: the gathers, layer norms, projections, feed-forward and
 residual adds never touch padding. Padding needs no compute: the
 attention bias gives every padding key a weight of exactly zero, so no
 real position reads a padding state, and padding states are blank in the
-output. Only attention returns to the (batch, t_max) layout, with zeros
-at padding, and what its padding queries compute is dropped when the
-context is packed back.
+output. Attention over all positions returns to the (batch, t_max)
+layout, with zeros at padding, and what its padding queries compute is
+dropped when the context is packed back.
+
+What depends on the batch alone is its BatchLayout: the prefix checks,
+the packed rows, the item and position ids, the attention biases and the
+gathers' one-hot backward matrices. It is built once per batch, and
+every branch that encodes the batch reads it.
 
 Every objective reads only the final-position representation z, so
 encode_batch and encode_pair run the last block for each row's final
@@ -28,7 +33,9 @@ query alone, and earlier blocks at all real positions. That block never
 forms keys or values: by associativity the final query's score of
 position j is q.(h_j W_k) = (q W_k^T).h_j and its context is
 (sum_j a_j h_j) W_v, so one vector per head scores the normed states h
-and the attention weights pool h before the value projection.
+and the attention weights pool h before the value projection. Scoring
+and pooling are one tape op whose gradient reaches h at its packed rows
+only: padding never enters the attention gradient.
 
 Each dropout mask is drawn at the shape of the activation it is applied
 to, so no number is drawn for a position that is not computed: the
@@ -194,31 +201,84 @@ def _attention_bias(prefixes: np.ndarray, dtype, rows: int) -> np.ndarray:
     return bias[:, None, :, :]
 
 
+class BatchLayout:
+    """What the encoder reads of one left-padded (batch, t_max) prefix
+    matrix, built once per batch and shared by every branch that encodes it.
+
+    Construction checks the prefixes, so a malformed batch fails before any
+    compute. vi holds the packed rows (the real positions, row-major), last
+    each row's final packed row, and items and positions the item and
+    position ids of the packed rows. The attention biases, per dtype, and
+    the one-hot matrices of the two gathers' backward, in item_onehots and
+    position_onehots, are built on first use.
+    """
+
+    def __init__(self, prefixes: np.ndarray):
+        real = prefixes != 0
+        empty = ~real.any(axis=1)
+        if empty.any():
+            raise ValueError(f"encode: a prefix contains no items (row {int(np.argmax(empty))})")
+        gaps = (real[:, :-1] & ~real[:, 1:]).any(axis=1)
+        if gaps.any():
+            raise ValueError(f"encode: prefix row {int(np.argmax(gaps))} is not left-padded "
+                             f"(padding follows an item)")
+        self.prefixes = prefixes
+        self.vi = np.flatnonzero(real)
+        self.last = np.cumsum(real.sum(axis=1)) - 1
+        self.items = prefixes.ravel()[self.vi]
+        self.positions = (np.cumsum(real, axis=1) - 1).ravel()[self.vi]
+        self.item_onehots: dict = {}
+        self.position_onehots: dict = {}
+        self._biases: dict = {}
+
+    def attention_bias(self, dtype, final: bool = False) -> np.ndarray:
+        """The additive mask of every query, (batch, 1, t, t), or with final
+        of each row's final query alone, (batch, t, 1)."""
+        key = (np.dtype(dtype), final)
+        if key not in self._biases:
+            t = self.prefixes.shape[1]
+            self._biases[key] = (_attention_bias(self.prefixes, dtype, 1)[:, 0, 0, :, None]
+                                 if final else _attention_bias(self.prefixes, dtype, t))
+        return self._biases[key]
+
+
+def pair_layout(prefixes: np.ndarray, aug_prefixes: np.ndarray) -> BatchLayout:
+    """The layout encode_pair reads: original rows, then augmented rows."""
+    return BatchLayout(np.concatenate([prefixes, aug_prefixes], axis=0))
+
+
 def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
                     train: bool = False, rng: np.random.Generator | None = None,
-                    table: Tensor | None = None, final_only: bool = False) -> Tensor:
+                    table: Tensor | None = None, final_only: bool = False,
+                    layout: BatchLayout | None = None) -> Tensor:
     """Encoder states (batch, t_max, width) at every position, zero at
     padding, or (batch, width) at the final position alone when final_only
     is set.
+
+    layout is the BatchLayout of prefixes, built here when not given; a
+    caller that encodes one batch with several branches builds it once.
 
     Position-wise work runs packed: the real positions of the left-padded
     prefixes, in row-major order, are the rows of one (n_real, width)
     matrix. The item and position gathers, every layer norm, the Q/K/V and
     output projections, the feed-forward and the residual adds see only
-    those rows. Attention alone returns to the (batch, t_max) layout: q, k
-    and v are placed there with zeros at padding, and the context is packed
-    back, dropping what the padding queries computed. Padding needs no
-    other compute: the attention bias gives every padding key a weight of
-    exactly zero, so no real position reads one, and padding states are
-    blank in the output.
+    those rows. Attention over all positions returns to the (batch, t_max)
+    layout: q, k and v are placed there with zeros at padding, and the
+    context is packed back, dropping what the padding queries computed.
+    Padding needs no other compute: the attention bias gives every padding
+    key a weight of exactly zero, so no real position reads one, and
+    padding states are blank in the output.
 
     With final_only the last block attends from the final query alone and
     never forms its keys and values. By associativity the score of key j
     is q.(h_j W_k) = (q W_k^T).h_j, so one vector r = q_h W_k,h^T per
     head scores the normed states h directly; the attention weights then
     pool h, and one product (sum_j a_j h_j) W_v,h per head gives the
-    context. The output projection, second norm and feed-forward also run
-    at the final position; every earlier block covers all real positions.
+    context. Scoring and pooling are one op, ad.pooled_attention, whose
+    gradient reaches h at its packed rows only, so padding never enters
+    that gradient. The output projection, second norm and feed-forward
+    also run at the final position; every earlier block covers all real
+    positions.
 
     Dropout draws exactly the elements it applies, in call order from the
     one rng: each feed-forward mask covers the rows that block computes,
@@ -228,25 +288,17 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     (batch, heads, t) weights.
     """
     cfg = branch.cfg
-    b, t = prefixes.shape
-    real = prefixes != 0
-    empty = ~real.any(axis=1)
-    if empty.any():
-        raise ValueError(f"encode: a prefix contains no items (row {int(np.argmax(empty))})")
-    gaps = (real[:, :-1] & ~real[:, 1:]).any(axis=1)
-    if gaps.any():
-        raise ValueError(f"encode: prefix row {int(np.argmax(gaps))} is not left-padded "
-                         f"(padding follows an item)")
+    if layout is None:
+        layout = BatchLayout(prefixes)
     if train and cfg.dropout > 0.0 and rng is None:
         raise ValueError("train-mode encode needs an rng for dropout")
     if table is None:
         table = lookup_table(branch, norm_adjacency)
 
-    vi = np.flatnonzero(real)               # packed rows: real positions, row-major
-    last = np.cumsum(real.sum(axis=1)) - 1  # each row's final packed row
-    pos_idx = (np.cumsum(real, axis=1) - 1).ravel()[vi]
-    x = ad.add(ad.gather_rows(table, prefixes.ravel()[vi]),
-               ad.gather_rows(branch.position_embeddings.tensor, pos_idx))
+    vi, last = layout.vi, layout.last
+    x = ad.add(ad.gather_rows(table, layout.items, layout.item_onehots),
+               ad.gather_rows(branch.position_embeddings.tensor, layout.positions,
+                              layout.position_onehots))
 
     heads = cfg.heads
     dh = cfg.width // heads
@@ -255,14 +307,14 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
     blocks = branch.encoder.blocks
     full_blocks = len(blocks) - 1 if final_only else len(blocks)
     if full_blocks:
-        bias = Tensor(_attention_bias(prefixes, dtype, t))
+        bias = Tensor(layout.attention_bias(dtype))
     for i, block in enumerate(blocks):
         h = ad.layer_norm(x, block.norm1_gain.tensor, block.norm1_bias.tensor)
         if i < full_blocks:
             x = ad.add(x, _attend_all(block, h, vi, bias, heads, dh, drop_rng, cfg.dropout))
         else:
             x = ad.add(ad.take_rows(x, last),
-                       _attend_final(block, h, vi, last, _attention_bias(prefixes, dtype, 1),
+                       _attend_final(block, h, vi, last, layout.attention_bias(dtype, final=True),
                                      heads, dh, drop_rng, cfg.dropout))
 
         h2 = ad.layer_norm(x, block.norm2_gain.tensor, block.norm2_bias.tensor)
@@ -270,7 +322,7 @@ def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
         if drop_rng is not None:
             f = ad.dropout(f, cfg.dropout, drop_rng)
         x = ad.add(x, ad.add(ad.matmul(f, block.ff_out.tensor), block.ff_out_bias.tensor))
-    return x if final_only else ad.scatter_rows(x, vi, (b, t))
+    return x if final_only else ad.scatter_rows(x, vi, layout.prefixes.shape)
 
 
 def _attend_all(block: EncoderBlock, h: Tensor, vi: np.ndarray, bias: Tensor, heads: int,
@@ -299,28 +351,23 @@ def _attend_final(block: EncoderBlock, h: Tensor, vi: np.ndarray, last: np.ndarr
     """Attention output (batch, d) of each row's final query over the
     packed normed states h (n_real, d), without forming keys or values.
 
-    The states are placed in the (batch, t, d) layout with zeros at
-    padding; the bias gives those keys zero weight. The per-head weight
-    products put the heads on the batch axis, (heads, batch, dh) x
-    (heads, dh, d), so each weight gradient is one batched product with
-    nothing to sum over the batch. Scores are laid out (batch, t, heads),
-    so the gradient with respect to the states comes out in their own
-    layout; a (batch, d, t) gradient transposed back was several times
-    slower to accumulate.
+    ad.pooled_attention scores the states at their (batch, t) positions
+    vi with one vector per head, laid out (batch, d, heads), and pools
+    them with the weights; bias (batch, t, 1) gives padding keys zero
+    weight. Its gradient reaches h at the packed rows only, so padding
+    never enters the attention gradient. The per-head weight products put
+    the heads on the batch axis, (heads, batch, dh) x (heads, dh, d), so
+    each weight gradient is one batched product with nothing to sum over
+    the batch.
     """
-    b, t = len(last), bias.shape[-1]
+    b = len(last)
     d = h.data.shape[-1]
-    hs = ad.scatter_rows(h, vi, (b, t))                                 # (b, t, d)
     q = ad.matmul(ad.take_rows(h, last), block.attn_q.tensor)           # (b, d)
     q = ad.swapaxes(ad.reshape(q, (b, heads, dh)), 0, 1)                # (H, b, dh)
     k_t = ad.reshape(ad.swapaxes(block.attn_k.tensor, 0, 1), (heads, dh, d))  # (H, dh, d)
     r = ad.swapaxes(ad.swapaxes(ad.matmul(q, k_t), 0, 1), 1, 2)         # (b, d, H)
-    scores = ad.add(ad.scale(ad.matmul(hs, r), dh ** -0.5),
-                    Tensor(bias[:, 0, 0, :, None]))                     # (b, t, H)
-    attn = ad.swapaxes(ad.softmax(scores, axis=1), 1, 2)                # (b, H, t)
-    if rng is not None:
-        attn = ad.dropout(attn, p, rng)
-    pooled = ad.swapaxes(ad.matmul(attn, hs), 0, 1)                    # (H, b, d)
+    pooled = ad.pooled_attention(h, r, vi, bias, dh ** -0.5, p, rng)    # (b, H, d)
+    pooled = ad.swapaxes(pooled, 0, 1)                                  # (H, b, d)
     v = ad.swapaxes(ad.reshape(block.attn_v.tensor, (d, heads, dh)), 0, 1)  # (H, d, dh)
     ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, d))
     return ad.matmul(ctx, block.attn_out.tensor)
@@ -328,13 +375,17 @@ def _attend_final(block: EncoderBlock, h: Tensor, vi: np.ndarray, last: np.ndarr
 
 def encode_batch(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
                  train: bool = False, rng: np.random.Generator | None = None,
-                 table: Tensor | None = None) -> tuple[Tensor, Tensor]:
+                 table: Tensor | None = None,
+                 layout: BatchLayout | None = None) -> tuple[Tensor, Tensor]:
     """Run a left-padded (batch, t_max) prefix matrix through the branch.
 
     Returns (z, logits) with z the representation at the last position
-    and logits over the domain catalog (index i is item i + 1).
+    and logits over the domain catalog (index i is item i + 1). layout,
+    when given, is BatchLayout(prefixes), shared by the branches that
+    encode the batch.
     """
-    z = _forward_states(branch, norm_adjacency, prefixes, train, rng, table, final_only=True)
+    z = _forward_states(branch, norm_adjacency, prefixes, train, rng, table,
+                        final_only=True, layout=layout)
     return z, _head(branch, z)
 
 
@@ -357,14 +408,19 @@ def _merge_heads(x: Tensor, b: int, t: int, d: int) -> Tensor:
 def encode_pair(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
                 aug_prefixes: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None,
-                table: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor]:
+                table: Tensor | None = None,
+                layout: BatchLayout | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Original and augmented views in one stacked pass.
 
     Returns (z, z_aug, logits); the head runs on the original half only.
+    layout, when given, is pair_layout(prefixes, aug_prefixes), shared by
+    the branches that encode the pair.
     """
     b = prefixes.shape[0]
-    stacked = np.concatenate([prefixes, aug_prefixes], axis=0)
-    z_all = _forward_states(branch, norm_adjacency, stacked, train, rng, table, final_only=True)
+    if layout is None:
+        layout = pair_layout(prefixes, aug_prefixes)
+    z_all = _forward_states(branch, norm_adjacency, layout.prefixes, train, rng, table,
+                            final_only=True, layout=layout)
     z = ad.slice_rows(z_all, 0, b)
     z_aug = ad.slice_rows(z_all, b, 2 * b)
     return z, z_aug, _head(branch, z)

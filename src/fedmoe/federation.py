@@ -10,6 +10,12 @@ round may run sequentially or on a thread pool with identical results.
 The fusion loss reads each branch's target probability from its
 cross-entropy as a constant, so the fusion op has no path to the experts.
 
+Each training step builds one ``expert.BatchLayout`` of the stacked
+original and augmented prefixes, and each evaluation chunk one of its
+prefixes; every branch encodes the batch from it, so the prefix checks
+run once, before any compute, and the packed rows, ids, biases and gather
+matrices are built once rather than once per branch.
+
 Variants: local-only training, FedAvg with a single shared encoder,
 uniform (no-gate) fusion, unfrozen global encoders, expert removal, and
 a two-phase schedule with exactly one synchronization. Every mode runs
@@ -31,8 +37,8 @@ from .config import RunConfig
 from .data import DomainDataset, ScenarioSpec, augment_batch
 from .errors import ConfigError, EmptyDatasetError
 from .evaluation import DomainMetrics, MetricsReport, compute_metrics, rank_target
-from .expert import BranchParams, encode_batch, encode_pair, init_branch, init_encoder
-from .expert import contrastive_loss, lookup_table, rec_loss
+from .expert import BatchLayout, BranchParams, encode_batch, encode_pair, init_branch
+from .expert import contrastive_loss, init_encoder, lookup_table, pair_layout, rec_loss
 from .moe import GateParams, fuse, gate_forward, init_gate, moe_loss, target_nll
 from .moe import uniform_gate_weights
 from .optim import Adam
@@ -216,7 +222,8 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
     Components: next-item and contrastive losses for the local branch and
     each global branch, then the gated-mixture loss (2D + 1 terms for D
     visible experts). With local_only, or with no global branches, the
-    local branch trains alone and nothing is fused.
+    local branch trains alone and nothing is fused. The batch's layout is
+    built once, before any branch computes, and shared by every branch.
     """
     cfg = client.cfg
     adj = client.dataset.adjacency
@@ -225,12 +232,13 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
     z_list, target_probs = [], []
     total = None
     components: dict[str, float] = {}
+    layout = pair_layout(prefixes, aug_prefixes)
 
     for dom, branch in zip(order, client.branches_in_order()):
         tag = "local" if dom == client.domain_id else dom
         table = lookup_table(branch, adj)
         z, z_aug, logits = encode_pair(branch, adj, prefixes, aug_prefixes,
-                                       train=train, rng=rng, table=table)
+                                       train=train, rng=rng, table=table, layout=layout)
         if mixed:
             rec, prob = rec_loss(logits, targets, return_prob=True)
             z_list.append(z)
@@ -316,11 +324,13 @@ def _client_scores(client: ClientState, prefixes: np.ndarray, targets: np.ndarra
     single-branch client has neither gate weights nor branch NLLs.
 
     tables holds each branch's lookup table, in branch order, built once
-    for all the chunks of a split. Softmaxes overwrite the logits."""
+    for all the chunks of a split; the chunk's layout is built once for
+    every branch. Softmaxes overwrite the logits."""
     adj = client.dataset.adjacency
+    layout = BatchLayout(prefixes)
     z_list, logits_list = [], []
     for branch, table in zip(client.branches_in_order(), tables):
-        z, logits = encode_batch(branch, adj, prefixes, table=table)
+        z, logits = encode_batch(branch, adj, prefixes, table=table, layout=layout)
         z_list.append(z)
         logits_list.append(logits)
     if not client.global_branches:

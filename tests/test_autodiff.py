@@ -5,6 +5,7 @@ float64; trivial cases come straight from the op contracts.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -49,6 +50,10 @@ def _loss_of(op, x, *args, **kwargs):
     return f, analytic
 
 
+# three sequences of 1, 6 and 3 real positions in a (3, 6) layout
+_REAL = np.arange(6)[None, :] >= np.array([[5], [0], [3]])
+_ROWS, _BIAS = np.flatnonzero(_REAL), np.where(_REAL, 0.0, -1e9)[:, :, None]
+
 OP_CASES = [
     ("add_broadcast", lambda t: ad.add(t, ad.Tensor(np.linspace(-1, 1, 4))), (3, 4)),
     ("mul_broadcast", lambda t: ad.mul(t, ad.Tensor(np.linspace(0.5, 2, 4))), (3, 4)),
@@ -71,6 +76,10 @@ OP_CASES = [
     ("take_along", lambda t: ad.take_along_last(t, np.array([1, 3, 0])), (3, 4)),
     ("take_rows", lambda t: ad.take_rows(t, np.array([4, 0, 3])), (2, 3, 4)),
     ("scatter_rows", lambda t: ad.scatter_rows(t, np.array([5, 1, 2]), (2, 3)), (3, 4)),
+    ("pooled_attention_h", lambda t: ad.pooled_attention(
+        t, ad.Tensor(np.linspace(-1, 1, 24).reshape(3, 4, 2)), _ROWS, _BIAS, 0.7), (10, 4)),
+    ("pooled_attention_r", lambda t: ad.pooled_attention(
+        ad.Tensor(np.linspace(-1, 1, 40).reshape(10, 4)), t, _ROWS, _BIAS, 0.7), (3, 4, 2)),
     ("sparse_matmul", lambda t: ad.sparse_matmul(
         sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])), t), (3, 4)),
 ]
@@ -203,6 +212,80 @@ class TestGatherRows:
         np.add.at(expected, ids.ravel(), g.reshape(-1, 5))
         assert table.grad.dtype == dtype
         assert np.array_equal(table.grad, expected)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_onehots_built_once_and_reused(self, dtype):
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 7, size=20)
+        g = rng.standard_normal((20, 5)).astype(dtype)
+
+        def table_grad(onehots):
+            table = ad.Tensor(rng.standard_normal((7, 5)).astype(dtype), requires_grad=True)
+            with ad.Tape() as tape:
+                out = ad.gather_rows(table, ids, onehots)
+                ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))), tape)
+            return table.grad
+
+        want = table_grad(None)
+        onehots = {}
+        first = table_grad(onehots)
+        matrix = onehots[(7, np.dtype(dtype))]
+        second = table_grad(onehots)
+        assert list(onehots) == [(7, np.dtype(dtype))] and onehots[(7, np.dtype(dtype))] is matrix
+        assert np.array_equal(first, want) and np.array_equal(second, want)
+
+
+def _unfused_pooled_attention(h, r, rows, bias, scale, p, rng):
+    """The chain of ops that pooled_attention replaces, as the encoder's
+    final-query attention ran it."""
+    b, t = bias.shape[:2]
+    hs = ad.scatter_rows(h, rows, (b, t))
+    scores = ad.add(ad.scale(ad.matmul(hs, r), scale), ad.Tensor(bias))
+    attn = ad.swapaxes(ad.softmax(scores, axis=1), 1, 2)
+    if rng is not None:
+        attn = ad.dropout(attn, p, rng)
+    return ad.matmul(attn, hs)
+
+
+class TestPooledAttention:
+    T = 6
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 4),
+           dtype=st.sampled_from([np.float32, np.float64]), p=st.sampled_from([0.0, 0.3]),
+           extra=st.lists(st.integers(1, T), max_size=4))
+    def test_bit_identical_to_the_unfused_chain(self, seed, heads, dtype, p, extra):
+        """Forward values, the gradients of h and r, and the rng state after
+        the pass; every batch has a one-item row and a full-length row, and
+        r is a strided view as in the encoder."""
+        t, d = self.T, 5
+        lengths = np.array([1, t] + extra)
+        b = len(lengths)
+        real = np.arange(t)[None, :] >= (t - lengths)[:, None]
+        rows = np.flatnonzero(real)
+        bias = np.where(real, 0.0, -1e9).astype(dtype)[:, :, None]
+        data_rng = np.random.default_rng(seed)
+        h_data = data_rng.standard_normal((len(rows), d)).astype(dtype)
+        r_data = data_rng.standard_normal((heads, b, d)).astype(dtype)
+        probe = data_rng.standard_normal((heads, b, d)).astype(dtype)
+
+        def run(op):
+            h = ad.Tensor(h_data.copy(), requires_grad=True)
+            r0 = ad.Tensor(r_data.copy(), requires_grad=True)
+            rng = np.random.default_rng(seed + 1)
+            with ad.Tape() as tape:
+                r = ad.swapaxes(ad.swapaxes(r0, 0, 1), 1, 2)          # (b, d, heads)
+                out = op(h, r, rows, bias, 0.5, p, rng)
+                ad.backward(ad.tsum(ad.mul(ad.swapaxes(out, 0, 1), ad.Tensor(probe))), tape)
+            return out.data, h.grad, r0.grad, rng.bit_generator.state
+
+        fused, unfused = run(ad.pooled_attention), run(_unfused_pooled_attention)
+        assert fused[0].dtype == dtype and fused[0].shape == (b, heads, d)
+        for got, want in zip(fused[:3], unfused[:3]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert fused[3] == unfused[3]
 
 
 class TestSoftmax:
@@ -375,6 +458,27 @@ class TestBackwardContract:
             out = ad.mul(w.tensor, w.tensor)
             with pytest.raises(ValueError, match="scalar"):
                 ad.backward(out, tape)
+
+    def test_backward_releases_each_backward_fn_and_keeps_outputs(self):
+        w = ad.Parameter(np.ones((4, 3)), "w")
+        with ad.Tape() as tape:
+            out = ad.dropout(ad.gelu(w.tensor), 0.5, np.random.default_rng(1))
+            loss = ad.tsum(out)
+            released = [weakref.ref(node.backward_fn) for node in tape.nodes]
+            ad.backward(loss, tape)
+        assert [ref() for ref in released] == [None] * len(released)
+        assert all(node.backward_fn is None for node in tape.nodes)
+        assert all(node.out.grad is not None for node in tape.nodes)
+        assert w.tensor.grad.shape == (4, 3)
+
+    def test_second_backward_on_a_tape_rejected(self):
+        w = ad.Parameter(np.ones(3), "w")
+        with ad.Tape() as tape:
+            loss = ad.tsum(ad.mul(w.tensor, w.tensor))
+            ad.backward(loss, tape)
+            with pytest.raises(ValueError, match="already ran on this tape"):
+                ad.backward(loss, tape)
+        np.testing.assert_array_equal(w.tensor.grad, 2 * np.ones(3))
 
     def test_gradients_accumulate_across_backward_calls(self):
         w = ad.Parameter(np.ones(3), "w")

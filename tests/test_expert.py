@@ -234,6 +234,79 @@ class TestFinalPositionPath:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+class TestSharedLayout:
+    """Branches that encode one batch share its BatchLayout; each must get
+    the z, logits and parameter gradients of a layout built per call, bit
+    for bit, in train mode with dropout."""
+
+    PREFIXES = TestFinalPositionPath.PREFIXES
+    AUG = np.stack([padded([2, 1, 3, 5, 4], 6), padded([7, 6], 6),
+                    padded([1, 3, 2, 4, 6, 5], 6), padded([9], 6)])
+
+    @staticmethod
+    def _branches(heads):
+        cfg = expert.ModelConfig(width=8, blocks=2, heads=heads, ff_mult=2, gnn_depth=1,
+                                 t_max=6, dropout=0.3)
+        rng = np.random.default_rng(3)
+        return [expert.init_branch(rng, 10, cfg) for _ in range(3)]
+
+    def _run(self, heads, encode, layout):
+        branches = self._branches(heads)
+        adj = build_adjacency([[1, 2, 3, 4], [5, 6, 7], [8, 9, 10]], 10)
+        rng = np.random.default_rng(5)
+        outs = []
+        with ad.Tape() as tape:
+            loss = None
+            for branch in branches:
+                for out in encode(branch, adj, rng, layout):
+                    outs.append(out.data)
+                    probe = ad.Tensor(np.cos(np.arange(out.data.size)).reshape(out.data.shape))
+                    term = ad.tsum(ad.mul(out, probe))
+                    loss = term if loss is None else ad.add(loss, term)
+            ad.backward(loss, tape)
+        grads = [p.tensor.grad for branch in branches for p in branch.parameters()]
+        return outs, grads, rng.random()
+
+    def _check(self, heads, encode, layout):
+        shared = self._run(heads, encode, layout)
+        per_call = self._run(heads, encode, None)
+        for got, want in zip(shared[0] + shared[1], per_call[0] + per_call[1]):
+            assert got is not None and np.array_equal(got, want)
+        assert shared[2] == per_call[2]
+        assert list(layout.item_onehots) == [(11, np.dtype(np.float64))]
+        assert list(layout.position_onehots) == [(6, np.dtype(np.float64))]
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_encode_pair(self, heads):
+        def encode(branch, adj, rng, layout):
+            return expert.encode_pair(branch, adj, self.PREFIXES, self.AUG, train=True,
+                                      rng=rng, layout=layout)
+
+        self._check(heads, encode, expert.pair_layout(self.PREFIXES, self.AUG))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_encode_batch(self, heads):
+        def encode(branch, adj, rng, layout):
+            return expert.encode_batch(branch, adj, self.PREFIXES, train=True, rng=rng,
+                                       layout=layout)
+
+        self._check(heads, encode, expert.BatchLayout(self.PREFIXES))
+
+    @pytest.mark.parametrize("bad, message", [([0, 0, 0, 0, 0, 0], r"no items \(row 5\)"),
+                                              ([0, 0, 3, 0, 4, 5], "row 5 is not left-padded")])
+    def test_malformed_pair_rejected_when_the_layout_is_built(self, bad, message, monkeypatch):
+        def computed(*args):
+            raise AssertionError("the encoder computed before checking its input")
+
+        monkeypatch.setattr(expert, "lookup_table", computed)
+        aug = self.AUG.copy()
+        aug[1] = bad
+        with pytest.raises(ValueError, match=message):
+            expert.pair_layout(self.PREFIXES, aug)
+        with pytest.raises(ValueError, match=message):
+            expert.encode_pair(self._branches(1)[0], None, self.PREFIXES, aug)
+
+
 def _dense_forward_states(branch, norm_adjacency, prefixes, train=False, rng=None,
                           final_only=False):
     """Reference encoder over every (batch, t) position, padding included:

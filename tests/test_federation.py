@@ -150,6 +150,52 @@ class TestClientUpdate:
         dead = [i for i, node in enumerate(tape.nodes) if node.out.grad is None]
         assert tape.nodes and not dead, f"{len(dead)} of {len(tape.nodes)} nodes have no gradient"
 
+    @pytest.mark.parametrize("bad, message", [("empty", r"no items \(row 3\)"),
+                                              ("gap", "row 3 is not left-padded")])
+    def test_malformed_batch_rejected_before_any_branch_computes(self, scenario, monkeypatch,
+                                                                 bad, message):
+        client = federation.build_client(scenario, "d0", small_config())
+        prefixes, targets = client.dataset.train_arrays()
+        rng = np.random.default_rng(0)
+        batch = prefixes[:8].copy()
+        aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
+        batch[3] = 0
+        if bad == "gap":
+            batch[3, :2] = 5
+
+        def computed(*args):
+            raise AssertionError("a branch computed before the batch was checked")
+
+        monkeypatch.setattr(federation, "lookup_table", computed)
+        with ad.Tape(), pytest.raises(ValueError, match=message):
+            federation.client_losses(client, batch, aug, targets[:8], rng)
+
+    def test_one_layout_per_step_and_per_evaluation_chunk(self, scenario, monkeypatch):
+        """Three branches encode each batch from one layout, so the prefix
+        checks run once per step."""
+        built = []
+        original = expert.BatchLayout.__init__
+
+        def counted(layout, prefixes):
+            built.append(prefixes.shape)
+            original(layout, prefixes)
+
+        monkeypatch.setattr(expert.BatchLayout, "__init__", counted)
+        client = federation.build_client(scenario, "d0", small_config())
+        assert len(client.branches_in_order()) == 3
+        prefixes, targets = client.dataset.train_arrays()
+        rng = np.random.default_rng(0)
+        batch = prefixes[:8]
+        aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
+        with ad.Tape() as tape:
+            total, _ = federation.client_losses(client, batch, aug, targets[:8], rng)
+            ad.backward(total, tape)
+        assert built == [(16, batch.shape[1])]
+        built.clear()
+        federation.evaluate_client(client, "valid")
+        chunks = -(-len(client.dataset.eval_arrays("valid")[1]) // client.cfg.eval_batch)
+        assert len(built) == chunks
+
     def test_non_finite_loss_raises_before_the_step(self, scenario, monkeypatch):
         client = federation.build_client(scenario, "d1", small_config())
         real_losses = federation.client_losses

@@ -8,6 +8,7 @@ are only imported; nothing under perfbench/ is run as a script.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -21,6 +22,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # names the tracer still lists although the program no longer has them
 RETIRED = {"_local_branch_losses"}
+
+
+# tape ops the tracer does not wrap, so their time counts toward the
+# span of their caller; any other tape op must be in the tracer's ALL_OPS
+UNTRACED_OPS = {"mix", "take_rows", "scatter_rows", "pooled_attention"}
 
 
 def _load(name):
@@ -47,6 +53,19 @@ def test_every_traced_op_resolves(spans):
     from fedmoe import autodiff
 
     assert [op for op in spans.ALL_OPS if not hasattr(autodiff, op)] == []
+
+
+def test_every_tape_op_is_traced_or_named_untraced(spans):
+    """A tape op is a public autodiff function that records a node itself;
+    composite ops (sub, tmean) record through the ops they call."""
+    from fedmoe import autodiff
+
+    tape_ops = {name for name, fn in vars(autodiff).items()
+                if inspect.isfunction(fn) and fn.__module__ == autodiff.__name__
+                and not name.startswith("_") and "_record" in fn.__code__.co_names}
+    assert sorted(tape_ops - set(spans.ALL_OPS) - UNTRACED_OPS) == []
+    assert sorted(UNTRACED_OPS - tape_ops) == []
+    assert sorted(UNTRACED_OPS & set(spans.ALL_OPS)) == []
 
 
 def test_each_workload_records_its_exercised_spans_and_none_it_bypasses(spans):

@@ -10,6 +10,11 @@ dropout. A change to the dropout stream moves the first table alone; the
 second shows that nothing else moved. A failing run prints the digests it
 got beside the pinned ones, so a re-pin shows old and new in one run.
 
+A third table runs fmoe and fedavg with two blocks of two heads, with and
+without dropout: the tiny config's single one-head block never attends at
+every position, so only this table pins the all-position attention of the
+earlier blocks and the per-head split end to end.
+
 drop_expert runs with drop_domain="d1" and two_phase with pretrain_epochs=1;
 each is passed only to the mode that reads it.
 """
@@ -59,6 +64,18 @@ GOLDEN_NO_DROPOUT_SHA256 = {
                   "b69c05b60fac4835e5bd352cf0bff65bcff37831431889f07f6d8b8e34309349"),
 }
 
+# (mode, dropout): (records, server cache state), blocks=2, heads=2
+GOLDEN_TWO_BLOCKS_SHA256 = {
+    ("fmoe", 0.1): ("76496786a9fcda52eb5b2442887418d2b88c9ff7d17f4fe464e9abe0e784d441",
+                    "3434b75f1793de9c82d5c92304cca766b88d069ad9dd03590c2f18cbd8c6ddfb"),
+    ("fmoe", 0.0): ("97f6c4e19877766bca786480f2c617233ff8d996c6b6787ddc802d3da63098e3",
+                    "4396fe3db7e0def4f7e40f123e400bfb19758c494e2b3e8c1e2c2ac4b095ea61"),
+    ("fedavg", 0.1): ("aca82ec2584a8a9cda75e04f1e9ea580f7c14e793c0bab640348a36077dffb57",
+                      "ea4d844456c10562b7566825dee087f9dbf0ae9e6e9fb41cbcee7172ef5ff5c3"),
+    ("fedavg", 0.0): ("495be599fb9747a46f5169ffcce82bdf70b253db8b99b1798c23b855e3e9ffca",
+                      "bc809ecc94beaa4b1fded4dded284fe1b98b19a6ab8c757530d7ede820a27eba"),
+}
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -92,3 +109,9 @@ def test_golden_run(scenario, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_golden_run_without_dropout(scenario, mode):
     _assert_pinned(mode, _digests(scenario, mode, dropout=0.0), GOLDEN_NO_DROPOUT_SHA256)
+
+
+@pytest.mark.parametrize("mode, dropout", sorted(GOLDEN_TWO_BLOCKS_SHA256))
+def test_golden_run_two_blocks_two_heads(scenario, mode, dropout):
+    _assert_pinned((mode, dropout), _digests(scenario, mode, blocks=2, heads=2, dropout=dropout),
+                   GOLDEN_TWO_BLOCKS_SHA256)

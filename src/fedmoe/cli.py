@@ -20,8 +20,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff as ad
 from . import federation
 from .checkpoint import ExpertCheckpoint
@@ -191,8 +189,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not path.is_file():
             raise ConfigError(f"{path}: no saved state for domain {dom!r}")
     scenario = _load_scenario_from_config(cfg)
-    dtype = np.float64 if cfg.precision == "float64" else np.float32
-    with ad.default_dtype(dtype):
+    with ad.default_dtype(cfg.dtype):
         clients = [federation.build_client(scenario, d, cfg)
                    for d in sorted(scenario.domain_ids)]
         for client in clients:  # every state is loaded before any scoring

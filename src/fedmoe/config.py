@@ -10,6 +10,8 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .data import DataConfig, SyntheticSpec
 from .errors import ConfigError
 from .expert import ModelConfig
@@ -136,6 +138,11 @@ class RunConfig:
     @property
     def policy(self) -> ModePolicy:
         return MODE_POLICIES[self.mode]
+
+    @property
+    def dtype(self) -> type:
+        """The numpy float type that precision names."""
+        return np.float64 if self.precision == "float64" else np.float32
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(width=self.width, blocks=self.blocks, heads=self.heads,

@@ -15,21 +15,19 @@ Prefixes are left-padded, and at training time most positions are
 padding (every prefix of a history is a sample). The encoder therefore
 works on a packed (n_real, width) matrix of the real positions, in
 row-major order: the gathers, layer norms, projections, feed-forward and
-residual adds never touch padding. Padding needs no compute: the
-attention bias gives every padding key a weight of exactly zero, so no
-real position reads a padding state, and padding states are blank in the
-output. Attention over all positions returns to the (batch, t_max)
-layout, with zeros at padding, and what its padding queries compute is
-dropped when the context is packed back.
+residual adds never touch padding. The attention bias gives every padding
+key a weight of exactly zero, so no real position reads a padding state.
 
 What depends on the batch alone is its BatchLayout: the prefix checks,
 the packed rows, the item and position ids, the attention biases and the
-gathers' one-hot backward matrices. It is built once per batch, and
-every branch that encodes the batch reads it.
+gathers' one-hot backward matrices. A caller builds it once per batch,
+and every branch that encodes the batch reads it along with the branch's
+own lookup table.
 
-Every objective reads only the final-position representation z, so
-encode_batch and encode_pair run the last block for each row's final
-query alone, and earlier blocks at all real positions. That block never
+Every objective reads only the final-position representation z, so the
+encoder has one output, z, and runs the last block for each row's final
+query alone. Every earlier block attends at all real positions, in the
+(batch, t_max) layout, and packs its context back. The last block never
 forms keys or values: by associativity the final query's score of
 position j is q.(h_j W_k) = (q W_k^T).h_j and its context is
 (sum_j a_j h_j) W_v, so one vector per head scores the normed states h
@@ -46,14 +44,11 @@ final query's attention mask covers its (batch, heads, t) weights.
 from __future__ import annotations
 
 import dataclasses
-import logging
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-
-logger = logging.getLogger(__name__)
 
 INIT_STD = 0.02
 
@@ -247,145 +242,111 @@ def pair_layout(prefixes: np.ndarray, aug_prefixes: np.ndarray) -> BatchLayout:
     return BatchLayout(np.concatenate([prefixes, aug_prefixes], axis=0))
 
 
-def _forward_states(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
-                    train: bool = False, rng: np.random.Generator | None = None,
-                    table: Tensor | None = None, final_only: bool = False,
-                    layout: BatchLayout | None = None) -> Tensor:
-    """Encoder states (batch, t_max, width) at every position, zero at
-    padding, or (batch, width) at the final position alone when final_only
-    is set.
+def _encode(branch: BranchParams, table: Tensor, layout: BatchLayout, train: bool,
+            rng: np.random.Generator | None) -> Tensor:
+    """Final-position representations z (batch, width) of the batch whose
+    layout is given, with table the branch's lookup_table.
 
-    layout is the BatchLayout of prefixes, built here when not given; a
-    caller that encodes one batch with several branches builds it once.
-
-    Position-wise work runs packed: the real positions of the left-padded
-    prefixes, in row-major order, are the rows of one (n_real, width)
-    matrix. The item and position gathers, every layer norm, the Q/K/V and
-    output projections, the feed-forward and the residual adds see only
-    those rows. Attention over all positions returns to the (batch, t_max)
-    layout: q, k and v are placed there with zeros at padding, and the
-    context is packed back, dropping what the padding queries computed.
-    Padding needs no other compute: the attention bias gives every padding
-    key a weight of exactly zero, so no real position reads one, and
-    padding states are blank in the output.
-
-    With final_only the last block attends from the final query alone and
-    never forms its keys and values. By associativity the score of key j
-    is q.(h_j W_k) = (q W_k^T).h_j, so one vector r = q_h W_k,h^T per
-    head scores the normed states h directly; the attention weights then
-    pool h, and one product (sum_j a_j h_j) W_v,h per head gives the
-    context. Scoring and pooling are one op, ad.pooled_attention, whose
-    gradient reaches h at its packed rows only, so padding never enters
-    that gradient. The output projection, second norm and feed-forward
-    also run at the final position; every earlier block covers all real
-    positions.
+    Position-wise work runs on the packed rows: the item and position
+    gathers, every layer norm, the projections, the feed-forward and the
+    residual adds. Every block but the last attends at all real positions
+    (_attend_all); the last block attends from each row's final query
+    alone (_attend_final), and its output projection, second norm and
+    feed-forward run at the final position only.
 
     Dropout draws exactly the elements it applies, in call order from the
-    one rng: each feed-forward mask covers the rows that block computes,
-    (n_real, ff) in row-major order for a block over all real positions
-    and (batch, ff) for a final-only block; attention over all positions
-    masks its (batch, heads, t, t) weights and the final query its
-    (batch, heads, t) weights.
+    one rng: an earlier block masks its (batch, heads, t, t) attention
+    weights and its (n_real, ff) feed-forward rows, in row-major order;
+    the last block masks its (batch, heads, t) weights and (batch, ff) rows.
     """
     cfg = branch.cfg
-    if layout is None:
-        layout = BatchLayout(prefixes)
     if train and cfg.dropout > 0.0 and rng is None:
         raise ValueError("train-mode encode needs an rng for dropout")
-    if table is None:
-        table = lookup_table(branch, norm_adjacency)
-
-    vi, last = layout.vi, layout.last
     x = ad.add(ad.gather_rows(table, layout.items, layout.item_onehots),
                ad.gather_rows(branch.position_embeddings.tensor, layout.positions,
                               layout.position_onehots))
 
     heads = cfg.heads
     dh = cfg.width // heads
-    dtype = x.data.dtype
     drop_rng = rng if train and cfg.dropout > 0.0 else None
     blocks = branch.encoder.blocks
-    full_blocks = len(blocks) - 1 if final_only else len(blocks)
-    if full_blocks:
-        bias = Tensor(layout.attention_bias(dtype))
     for i, block in enumerate(blocks):
         h = ad.layer_norm(x, block.norm1_gain.tensor, block.norm1_bias.tensor)
-        if i < full_blocks:
-            x = ad.add(x, _attend_all(block, h, vi, bias, heads, dh, drop_rng, cfg.dropout))
+        if i < len(blocks) - 1:
+            x = ad.add(x, _attend_all(block, h, layout, heads, dh, drop_rng, cfg.dropout))
         else:
-            x = ad.add(ad.take_rows(x, last),
-                       _attend_final(block, h, vi, last, layout.attention_bias(dtype, final=True),
-                                     heads, dh, drop_rng, cfg.dropout))
+            x = ad.add(ad.take_rows(x, layout.last),
+                       _attend_final(block, h, layout, heads, dh, drop_rng, cfg.dropout))
 
         h2 = ad.layer_norm(x, block.norm2_gain.tensor, block.norm2_bias.tensor)
         f = ad.gelu(ad.add(ad.matmul(h2, block.ff_in.tensor), block.ff_in_bias.tensor))
         if drop_rng is not None:
             f = ad.dropout(f, cfg.dropout, drop_rng)
         x = ad.add(x, ad.add(ad.matmul(f, block.ff_out.tensor), block.ff_out_bias.tensor))
-    return x if final_only else ad.scatter_rows(x, vi, layout.prefixes.shape)
+    return x
 
 
-def _attend_all(block: EncoderBlock, h: Tensor, vi: np.ndarray, bias: Tensor, heads: int,
-                dh: int, rng: np.random.Generator | None, p: float) -> Tensor:
+def _attend_all(block: EncoderBlock, h: Tensor, layout: BatchLayout, heads: int, dh: int,
+                rng: np.random.Generator | None, p: float) -> Tensor:
     """Causal self-attention output (n_real, d) at every packed row of h.
 
     The projections run on the packed rows; q, k and v are placed at
-    their positions vi of the (batch, t) layout for the attention itself,
-    and the context is packed back before the output projection.
+    their positions layout.vi of the (batch, t) layout for the attention
+    itself, with zeros at padding, and the context is packed back before
+    the output projection, dropping what the padding queries computed.
     """
-    b, _, _, t = bias.data.shape
+    bias = layout.attention_bias(h.data.dtype)
+    b, _, _, t = bias.shape
     d = h.data.shape[-1]
-    q, k, v = (_split_heads(ad.scatter_rows(ad.matmul(h, w.tensor), vi, (b, t)), heads, dh)
+    q, k, v = (_split_heads(ad.scatter_rows(ad.matmul(h, w.tensor), layout.vi, (b, t)),
+                            heads, dh)
                for w in (block.attn_q, block.attn_k, block.attn_v))
-    scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5), bias)
+    scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5), Tensor(bias))
     attn = ad.softmax(scores, axis=-1)
     if rng is not None:
         attn = ad.dropout(attn, p, rng)
-    ctx = ad.take_rows(_merge_heads(ad.matmul(attn, v), b, t, d), vi)
+    ctx = ad.take_rows(_merge_heads(ad.matmul(attn, v), b, t, d), layout.vi)
     return ad.matmul(ctx, block.attn_out.tensor)
 
 
-def _attend_final(block: EncoderBlock, h: Tensor, vi: np.ndarray, last: np.ndarray,
-                  bias: np.ndarray, heads: int, dh: int,
+def _attend_final(block: EncoderBlock, h: Tensor, layout: BatchLayout, heads: int, dh: int,
                   rng: np.random.Generator | None, p: float) -> Tensor:
     """Attention output (batch, d) of each row's final query over the
     packed normed states h (n_real, d), without forming keys or values.
 
     ad.pooled_attention scores the states at their (batch, t) positions
-    vi with one vector per head, laid out (batch, d, heads), and pools
-    them with the weights; bias (batch, t, 1) gives padding keys zero
-    weight. Its gradient reaches h at the packed rows only, so padding
-    never enters the attention gradient. The per-head weight products put
-    the heads on the batch axis, (heads, batch, dh) x (heads, dh, d), so
-    each weight gradient is one batched product with nothing to sum over
-    the batch.
+    layout.vi with one vector per head, laid out (batch, d, heads), and
+    pools them with the weights; the final query's bias (batch, t, 1)
+    gives padding keys zero weight. Its gradient reaches h at the packed
+    rows only, so padding never enters the attention gradient. The
+    per-head weight products put the heads on the batch axis,
+    (heads, batch, dh) x (heads, dh, d), so each weight gradient is one
+    batched product with nothing to sum over the batch.
     """
+    last = layout.last
     b = len(last)
     d = h.data.shape[-1]
+    bias = layout.attention_bias(h.data.dtype, final=True)
     q = ad.matmul(ad.take_rows(h, last), block.attn_q.tensor)           # (b, d)
     q = ad.swapaxes(ad.reshape(q, (b, heads, dh)), 0, 1)                # (H, b, dh)
     k_t = ad.reshape(ad.swapaxes(block.attn_k.tensor, 0, 1), (heads, dh, d))  # (H, dh, d)
     r = ad.swapaxes(ad.swapaxes(ad.matmul(q, k_t), 0, 1), 1, 2)         # (b, d, H)
-    pooled = ad.pooled_attention(h, r, vi, bias, dh ** -0.5, p, rng)    # (b, H, d)
+    pooled = ad.pooled_attention(h, r, layout.vi, bias, dh ** -0.5, p, rng)  # (b, H, d)
     pooled = ad.swapaxes(pooled, 0, 1)                                  # (H, b, d)
     v = ad.swapaxes(ad.reshape(block.attn_v.tensor, (d, heads, dh)), 0, 1)  # (H, d, dh)
     ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, d))
     return ad.matmul(ctx, block.attn_out.tensor)
 
 
-def encode_batch(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
-                 train: bool = False, rng: np.random.Generator | None = None,
-                 table: Tensor | None = None,
-                 layout: BatchLayout | None = None) -> tuple[Tensor, Tensor]:
-    """Run a left-padded (batch, t_max) prefix matrix through the branch.
+def encode_batch(branch: BranchParams, table: Tensor, layout: BatchLayout,
+                 train: bool = False,
+                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+    """Encode the batch of layout with the branch and its lookup table.
 
     Returns (z, logits) with z the representation at the last position
-    and logits over the domain catalog (index i is item i + 1). layout,
-    when given, is BatchLayout(prefixes), shared by the branches that
-    encode the batch.
+    and logits over the domain catalog (index i is item i + 1).
     """
-    z = _forward_states(branch, norm_adjacency, prefixes, train, rng, table,
-                        final_only=True, layout=layout)
+    z = _encode(branch, table, layout, train, rng)
     return z, _head(branch, z)
 
 
@@ -405,22 +366,17 @@ def _merge_heads(x: Tensor, b: int, t: int, d: int) -> Tensor:
     return ad.reshape(ad.swapaxes(x, 1, 2), (b, t, d))
 
 
-def encode_pair(branch: BranchParams, norm_adjacency, prefixes: np.ndarray,
-                aug_prefixes: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None,
-                table: Tensor | None = None,
-                layout: BatchLayout | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Original and augmented views in one stacked pass.
+def encode_pair(branch: BranchParams, table: Tensor, layout: BatchLayout,
+                train: bool = False,
+                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """Original and augmented views in one stacked pass over
+    layout = pair_layout(prefixes, aug_prefixes): the first half of its
+    rows are the originals.
 
     Returns (z, z_aug, logits); the head runs on the original half only.
-    layout, when given, is pair_layout(prefixes, aug_prefixes), shared by
-    the branches that encode the pair.
     """
-    b = prefixes.shape[0]
-    if layout is None:
-        layout = pair_layout(prefixes, aug_prefixes)
-    z_all = _forward_states(branch, norm_adjacency, layout.prefixes, train, rng, table,
-                            final_only=True, layout=layout)
+    b = len(layout.last) // 2
+    z_all = _encode(branch, table, layout, train, rng)
     z = ad.slice_rows(z_all, 0, b)
     z_aug = ad.slice_rows(z_all, b, 2 * b)
     return z, z_aug, _head(branch, z)
@@ -438,11 +394,11 @@ def contrastive_loss(z: Tensor, z_aug: Tensor, temperature: float = 1.0) -> Tens
 
     Similarities are dot products over the batch; each sample's positive
     is its own augmented view, every other pair is a negative. A batch
-    of one has no negatives and contributes zero.
+    of one has no negatives and contributes zero; client_update reports
+    how many such batches a round had.
     """
     b = z.data.shape[0]
     if b < 2:
-        logger.warning("contrastive loss skipped: batch of %d has no negatives", b)
         return Tensor(np.zeros((), dtype=z.data.dtype))
     sim = ad.scale(ad.matmul(z, ad.swapaxes(z_aug, 0, 1)), 1.0 / temperature)
     labels = np.arange(b)

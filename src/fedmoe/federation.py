@@ -12,9 +12,12 @@ cross-entropy as a constant, so the fusion op has no path to the experts.
 
 Each training step builds one ``expert.BatchLayout`` of the stacked
 original and augmented prefixes, and each evaluation chunk one of its
-prefixes; every branch encodes the batch from it, so the prefix checks
-run once, before any compute, and the packed rows, ids, biases and gather
-matrices are built once rather than once per branch.
+prefixes; every branch encodes the batch from that layout and its own
+lookup table, so the prefix checks run once, before any compute, and the
+packed rows, ids, biases and gather matrices are built once rather than
+once per branch. A training step builds each branch's table on the tape;
+evaluation builds them once per split. ``ClientState.mixture_weights`` is
+the one place that picks the gate or uniform weights.
 
 Variants: local-only training, FedAvg with a single shared encoder,
 uniform (no-gate) fusion, unfrozen global encoders, expert removal, and
@@ -106,12 +109,18 @@ class ClientState:
     optimizer: Adam
     domain_index: int
 
-    def expert_order(self) -> list[str]:
-        """Local domain first, then global branches in fixed id order."""
-        return [self.domain_id] + sorted(self.global_branches)
+    def branches(self) -> dict[str, BranchParams]:
+        """Tag -> branch: "local" first, then the global branches by source
+        domain in fixed id order."""
+        return {"local": self.local,
+                **{d: self.global_branches[d] for d in sorted(self.global_branches)}}
 
-    def branches_in_order(self) -> list[BranchParams]:
-        return [self.local] + [self.global_branches[d] for d in sorted(self.global_branches)]
+    def mixture_weights(self, z_list: list[Tensor]) -> Tensor:
+        """Per-sample weights (batch, len(z_list)) over the branches: the
+        gate's, or uniform for a client without a gate."""
+        if self.gate is not None:
+            return gate_forward(z_list, self.gate)
+        return uniform_gate_weights(z_list[0].data.shape[0], len(z_list))
 
     def all_parameters(self):
         return [p for _, params in self._named_groups() for p in params]
@@ -215,8 +224,7 @@ def build_client(scenario: ScenarioSpec, domain_id: str, cfg: RunConfig) -> Clie
 
 def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.ndarray,
                   targets: np.ndarray, rng: np.random.Generator | None,
-                  train: bool = True, local_only: bool = False
-                  ) -> tuple[Tensor, dict[str, float]]:
+                  local_only: bool = False) -> tuple[Tensor, dict[str, float]]:
     """Weighted total of every branch objective plus the fusion objective.
 
     Components: next-item and contrastive losses for the local branch and
@@ -226,19 +234,16 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
     built once, before any branch computes, and shared by every branch.
     """
     cfg = client.cfg
-    adj = client.dataset.adjacency
-    order = [client.domain_id] if local_only else client.expert_order()
-    mixed = len(order) > 1
+    branches = {"local": client.local} if local_only else client.branches()
+    mixed = len(branches) > 1
     z_list, target_probs = [], []
     total = None
     components: dict[str, float] = {}
     layout = pair_layout(prefixes, aug_prefixes)
 
-    for dom, branch in zip(order, client.branches_in_order()):
-        tag = "local" if dom == client.domain_id else dom
-        table = lookup_table(branch, adj)
-        z, z_aug, logits = encode_pair(branch, adj, prefixes, aug_prefixes,
-                                       train=train, rng=rng, table=table, layout=layout)
+    for tag, branch in branches.items():
+        table = lookup_table(branch, client.dataset.adjacency)
+        z, z_aug, logits = encode_pair(branch, table, layout, train=True, rng=rng)
         if mixed:
             rec, prob = rec_loss(logits, targets, return_prob=True)
             z_list.append(z)
@@ -252,11 +257,7 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
         total = term if total is None else ad.add(total, term)
 
     if mixed:
-        if client.gate is not None:
-            weights = gate_forward(z_list, client.gate)
-        else:
-            weights = uniform_gate_weights(prefixes.shape[0], len(order))
-        fused = moe_loss(weights, np.stack(target_probs, axis=1))
+        fused = moe_loss(client.mixture_weights(z_list), np.stack(target_probs, axis=1))
         components["moe"] = float(fused.data)
         total = ad.add(total, ad.scale(fused, cfg.moe_weight))
 
@@ -266,18 +267,23 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
 def client_update(client: ClientState, snapshot: dict[str, ExpertCheckpoint] | None,
                   round_index: int, local_epochs: int | None = None,
                   local_only: bool = False, rng_tag: int = _TAG_ROUND) -> ExpertCheckpoint:
-    """Synchronize, run the local epochs, and return the local encoder."""
+    """Synchronize, run the local epochs, and return the local encoder.
+
+    A one-sample batch has no contrastive negatives, so its contrastive
+    terms are zero; one warning per call counts such batches."""
     cfg = client.cfg
     if snapshot is not None and client.global_branches:
         client.sync(snapshot)
     rng = client.round_rng(rng_tag, round_index)
     prefixes, targets = client.dataset.train_arrays()
     epochs = cfg.local_epochs if local_epochs is None else local_epochs
+    single = 0
 
     for _ in range(epochs):
         order = rng.permutation(len(targets))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
+            single += len(idx) == 1
             batch = prefixes[idx]
             aug = augment_batch(batch, cfg.shuffle_ratio, rng)
             client.optimizer.zero_grad()
@@ -290,6 +296,10 @@ def client_update(client: ClientState, snapshot: dict[str, ExpertCheckpoint] | N
                 raise FloatingPointError(
                     f"non-finite loss in domain {client.domain_id}: {components}")
             client.optimizer.step()
+    if single:
+        logger.warning("domain %s round %d: contrastive loss skipped in %d one-sample "
+                       "batch(es), which have no negatives", client.domain_id, round_index,
+                       single)
     return client.local_encoder_checkpoint()
 
 
@@ -326,20 +336,16 @@ def _client_scores(client: ClientState, prefixes: np.ndarray, targets: np.ndarra
     tables holds each branch's lookup table, in branch order, built once
     for all the chunks of a split; the chunk's layout is built once for
     every branch. Softmaxes overwrite the logits."""
-    adj = client.dataset.adjacency
     layout = BatchLayout(prefixes)
     z_list, logits_list = [], []
-    for branch, table in zip(client.branches_in_order(), tables):
-        z, logits = encode_batch(branch, adj, prefixes, table=table, layout=layout)
+    for branch, table in zip(client.branches().values(), tables):
+        z, logits = encode_batch(branch, table, layout)
         z_list.append(z)
         logits_list.append(logits)
     if not client.global_branches:
         probs = ad.softmax_values(logits.data, out=logits.data)
         return probs, None, None
-    if client.gate is not None:
-        weights = gate_forward(z_list, client.gate)
-    else:
-        weights = uniform_gate_weights(prefixes.shape[0], len(logits_list))
+    weights = client.mixture_weights(z_list)
     mixture, branch_nll = fuse(logits_list, weights, targets)
     return mixture, weights.data, branch_nll
 
@@ -351,7 +357,7 @@ def evaluate_client(client: ClientState, split: str) -> DomainMetrics:
     cfg = client.cfg
     prefixes, targets = client.dataset.eval_arrays(split)
     tables = [lookup_table(branch, client.dataset.adjacency)
-              for branch in client.branches_in_order()]
+              for branch in client.branches().values()]
     ranks = []
     gate_sum = None
     nll_sum = 0.0
@@ -453,8 +459,7 @@ def run(scenario: ScenarioSpec, cfg: RunConfig) -> RunResult:
              for split in ("valid", "test") if not len(getattr(d, split))]
     if empty:
         raise EmptyDatasetError("; ".join(empty))
-    dtype = np.float64 if cfg.precision == "float64" else np.float32
-    with ad.default_dtype(dtype):
+    with ad.default_dtype(cfg.dtype):
         clients = [build_client(scenario, d, cfg) for d in sorted(scenario.domain_ids)]
         cache = _seed_cache(clients, cfg)
         history: list[MetricsReport] = []

@@ -6,7 +6,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from fedmoe import data
+from fedmoe import data, expert
+
+
+def encode_prefixes(branch, adj, prefixes, train=False, rng=None):
+    """``expert.encode_batch`` of a prefix matrix: its layout is built first,
+    then the branch's lookup table."""
+    layout = expert.BatchLayout(prefixes)
+    return expert.encode_batch(branch, expert.lookup_table(branch, adj), layout, train, rng)
 
 
 def build_adjacency(runs: list[list[int]], num_items: int) -> sp.csr_matrix:

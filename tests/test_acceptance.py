@@ -23,7 +23,7 @@ from fedmoe.data import SyntheticSpec, generate_synthetic
 from fedmoe.evaluation import compute_metrics, rank_target
 from fedmoe.optim import Adam
 
-from helpers import max_relative_error
+from helpers import encode_prefixes, max_relative_error
 
 SEEDS = (101, 202, 303)
 
@@ -93,13 +93,13 @@ def test_criterion_1_gradient_correctness_full_forward():
         aug = data.augment_batch(batch, cfg.shuffle_ratio, np.random.default_rng(3))
 
         adj = client.dataset.adjacency
-        order = client.branches_in_order()
+        order = list(client.branches().values())
 
         def branch_sum():
             total = None
             for branch in order:
                 table = expert.lookup_table(branch, adj)
-                z, z_aug, logits = expert.encode_pair(branch, adj, batch, aug, table=table)
+                z, z_aug, logits = expert.encode_pair(branch, table, expert.pair_layout(batch, aug))
                 term = ad.add(expert.rec_loss(logits, tgt),
                               expert.contrastive_loss(z, z_aug, cfg.temperature))
                 total = term if total is None else ad.add(total, term)
@@ -108,7 +108,7 @@ def test_criterion_1_gradient_correctness_full_forward():
         def fusion_only():
             zs, probs = [], []
             for branch in order:
-                z, logits = expert.encode_batch(branch, adj, batch)
+                z, logits = encode_prefixes(branch, adj, batch)
                 zs.append(z)
                 probs.append(expert.rec_loss(logits, tgt, return_prob=True)[1])
             weights = moe.gate_forward(zs, client.gate)
@@ -188,8 +188,8 @@ def test_criterion_3_gate_isolation():
     opt.zero_grad()
     with ad.Tape() as tape:
         zs, probs = [], []
-        for branch in client.branches_in_order():
-            z, logits = expert.encode_batch(branch, client.dataset.adjacency, batch)
+        for branch in client.branches().values():
+            z, logits = encode_prefixes(branch, client.dataset.adjacency, batch)
             zs.append(z)
             probs.append(expert.rec_loss(logits, tgt, return_prob=True)[1])
         weights = moe.gate_forward(zs, client.gate)

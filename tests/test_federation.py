@@ -12,6 +12,8 @@ from fedmoe.checkpoint import ExpertCheckpoint
 from fedmoe.config import RunConfig
 from fedmoe.errors import ConfigError, EmptyDatasetError
 
+from helpers import encode_prefixes
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -182,7 +184,7 @@ class TestClientUpdate:
 
         monkeypatch.setattr(expert.BatchLayout, "__init__", counted)
         client = federation.build_client(scenario, "d0", small_config())
-        assert len(client.branches_in_order()) == 3
+        assert len(client.branches()) == 3
         prefixes, targets = client.dataset.train_arrays()
         rng = np.random.default_rng(0)
         batch = prefixes[:8]
@@ -195,6 +197,21 @@ class TestClientUpdate:
         federation.evaluate_client(client, "valid")
         chunks = -(-len(client.dataset.eval_arrays("valid")[1]) // client.cfg.eval_batch)
         assert len(built) == chunks
+
+    def test_one_sample_batches_warn_once_per_update(self, scenario, caplog):
+        """A training set of 1 modulo the batch size leaves a one-sample batch
+        in every epoch, whose contrastive terms are zero in all three
+        branches; the update warns once, naming the domain, the round and
+        the number of such batches."""
+        n = len(federation.build_client(scenario, "d0", small_config()).dataset.train_arrays()[1])
+        client = federation.build_client(scenario, "d0",
+                                         small_config(batch_size=n - 1, local_epochs=2))
+        assert len(client.branches()) == 3
+        with caplog.at_level("WARNING", logger="fedmoe"):
+            federation.client_update(client, None, 4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "domain d0 round 4: contrastive loss skipped in 2 one-sample batch(es), "
+            "which have no negatives"]
 
     def test_non_finite_loss_raises_before_the_step(self, scenario, monkeypatch):
         client = federation.build_client(scenario, "d1", small_config())
@@ -400,8 +417,7 @@ class TestRunModes:
         m = federation.evaluate_client(client, "test")
         assert m.branch_nll is None and m.gate_weights is None
         prefixes, targets = client.dataset.eval_arrays("test")
-        _, logits = expert.encode_batch(client.local, client.dataset.adjacency,
-                                        prefixes)
+        _, logits = encode_prefixes(client.local, client.dataset.adjacency, prefixes)
         probs = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         expected = -np.mean(np.log(probs[np.arange(len(targets)), targets - 1]))
@@ -449,7 +465,7 @@ class TestConfigKnobs:
             assert client.gate.hidden_weight.data.tobytes() != before[client.domain_id]
             prefixes, targets = client.dataset.eval_arrays("test")
             tables = [expert.lookup_table(b, client.dataset.adjacency)
-                      for b in client.branches_in_order()]
+                      for b in client.branches().values()]
             _, gates, _ = federation._client_scores(client, prefixes, targets, tables)
             assert gates.shape == (len(targets), 3)
             np.testing.assert_allclose(gates.sum(axis=1), 1.0, rtol=1e-5)

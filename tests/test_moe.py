@@ -12,7 +12,7 @@ from fedmoe import expert, moe
 from fedmoe.errors import ShapeError
 from fedmoe.optim import Adam
 
-from helpers import build_adjacency
+from helpers import build_adjacency, encode_prefixes
 
 TINY = expert.ModelConfig(width=8, blocks=1, heads=1, ff_mult=2, gnn_depth=1,
                           t_max=6, dropout=0.0)
@@ -285,7 +285,7 @@ def test_gate_only_learning_full_stack():
     with ad.Tape() as tape:
         zs, probs = [], []
         for b in branches:
-            z, logits = expert.encode_batch(b, adj, prefixes)
+            z, logits = encode_prefixes(b, adj, prefixes)
             zs.append(z)
             probs.append(expert.rec_loss(logits, targets, return_prob=True)[1])
         weights = moe.gate_forward(zs, gate)

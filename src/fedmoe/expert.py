@@ -338,8 +338,7 @@ def _attend_final(block: EncoderBlock, h: Tensor, layout: BatchLayout, heads: in
     return ad.matmul(ctx, block.attn_out.tensor)
 
 
-def encode_batch(branch: BranchParams, table: Tensor, layout: BatchLayout,
-                 train: bool = False,
+def encode_batch(branch: BranchParams, table: Tensor, layout: BatchLayout, train: bool = False,
                  rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
     """Encode the batch of layout with the branch and its lookup table.
 
@@ -366,8 +365,7 @@ def _merge_heads(x: Tensor, b: int, t: int, d: int) -> Tensor:
     return ad.reshape(ad.swapaxes(x, 1, 2), (b, t, d))
 
 
-def encode_pair(branch: BranchParams, table: Tensor, layout: BatchLayout,
-                train: bool = False,
+def encode_pair(branch: BranchParams, table: Tensor, layout: BatchLayout, train: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Original and augmented views in one stacked pass over
     layout = pair_layout(prefixes, aug_prefixes): the first half of its

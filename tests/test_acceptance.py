@@ -99,7 +99,8 @@ def test_criterion_1_gradient_correctness_full_forward():
             total = None
             for branch in order:
                 table = expert.lookup_table(branch, adj)
-                z, z_aug, logits = expert.encode_pair(branch, table, expert.pair_layout(batch, aug))
+                layout = expert.pair_layout(batch, aug)
+                z, z_aug, logits = expert.encode_pair(branch, table, layout)
                 term = ad.add(expert.rec_loss(logits, tgt),
                               expert.contrastive_loss(z, z_aug, cfg.temperature))
                 total = term if total is None else ad.add(total, term)

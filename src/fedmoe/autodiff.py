@@ -62,10 +62,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is not None:
-            self.data = np.asarray(data, dtype=dtype)
-        elif isinstance(data, np.ndarray) and data.dtype.kind == "f":
+    def __init__(self, data, requires_grad: bool = False):
+        if isinstance(data, np.ndarray) and data.dtype.kind == "f":
             self.data = data
         else:
             self.data = np.asarray(data, dtype=get_default_dtype())
@@ -90,8 +88,8 @@ class Tensor:
 class Parameter:
     """Named tensor owned by a model component.
 
-    The data is materialized at the default scalar width unless a dtype
-    is given, whatever the width of the initializer's array.
+    The data is materialized at the default scalar width, whatever the
+    width of the initializer's array.
     trainable=False freezes the parameter: the optimizer skips it and
     backward never touches its accumulator, while gradients still pass
     through operations that read it.
@@ -99,10 +97,8 @@ class Parameter:
 
     __slots__ = ("tensor", "name")
 
-    def __init__(self, data, name: str, trainable: bool = True, dtype=None):
-        if dtype is None:
-            dtype = get_default_dtype()
-        self.tensor = Tensor(data, requires_grad=trainable, dtype=dtype)
+    def __init__(self, data, name: str, trainable: bool = True):
+        self.tensor = Tensor(np.asarray(data, dtype=get_default_dtype()), requires_grad=trainable)
         self.name = name
 
     @property

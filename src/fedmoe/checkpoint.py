@@ -1,10 +1,15 @@
-"""Named-tensor checkpoint container and its binary wire format.
+"""Named-tensor checkpoint container, its binary wire format, and the one
+layout check and loader for named arrays.
 
 Layout (all little-endian): a header of format version (u32) and
 parameter count (u32), then per parameter: name length (u32), name
 bytes (utf-8), rank (u32), one u32 per dimension, and the values as
 32-bit floats in row-major order. Serialization round-trips byte for
 byte; input that does not follow the layout raises ValueError.
+
+``check_layout`` compares name -> array with name -> shape for the server
+cache, FedAvg and ``load_into_params``, which checks encoder downloads and
+restored client states before it writes any parameter.
 """
 
 from __future__ import annotations
@@ -106,20 +111,23 @@ def checkpoint_from_params(params) -> ExpertCheckpoint:
     return ExpertCheckpoint([(p.name, p.data) for p in params])
 
 
-def load_into_params(ckpt: ExpertCheckpoint, params, dtype=None) -> None:
-    """Copy checkpoint values into matching parameters by name.
+def check_layout(arrays: dict, shapes: dict, what: str) -> None:
+    """Raise ValueError naming the first entry, in name order, that arrays
+    lacks, has beyond shapes, or holds at another shape than shapes gives."""
+    for name in sorted(arrays.keys() | shapes.keys()):
+        if name not in arrays:
+            raise ValueError(f"{what} has no entry {name!r}")
+        if name not in shapes:
+            raise ValueError(f"{what} has an unexpected entry {name!r}")
+        if np.shape(arrays[name]) != shapes[name]:
+            raise ValueError(f"{what} entry {name!r} has shape {np.shape(arrays[name])}, "
+                             f"expected {shapes[name]}")
 
-    Every name and shape is checked before the first parameter is
-    written, so a checkpoint that does not fit changes nothing.
-    """
-    by_name = {p.name: p for p in params}
-    if set(by_name) != set(ckpt.names):
-        missing = set(by_name) ^ set(ckpt.names)
-        raise ValueError(f"checkpoint/parameter name mismatch: {sorted(missing)}")
-    for name, arr in ckpt.entries:
-        if by_name[name].data.shape != arr.shape:
-            raise ValueError(f"{name}: shape {arr.shape} does not match "
-                             f"{by_name[name].data.shape}")
-    for name, arr in ckpt.entries:
-        p = by_name[name]
-        p.tensor.data = arr.astype(dtype or p.data.dtype)
+
+def load_into_params(arrays: dict, params: dict, what: str) -> None:
+    """Write name -> array into name -> Parameter, each at its parameter's
+    width. The layout is checked first, so arrays that do not fit raise
+    ValueError naming the entry and change nothing."""
+    check_layout(arrays, {name: p.data.shape for name, p in params.items()}, what)
+    for name, p in params.items():
+        p.tensor.data = arrays[name].astype(p.data.dtype)

@@ -147,8 +147,7 @@ class RunConfig:
     def model_config(self) -> ModelConfig:
         return ModelConfig(width=self.width, blocks=self.blocks, heads=self.heads,
                            ff_mult=self.ff_mult, gnn_depth=self.gnn_depth,
-                           t_max=self.t_max, dropout=self.dropout,
-                           temperature=self.temperature)
+                           t_max=self.t_max, dropout=self.dropout)
 
     def data_config(self) -> DataConfig:
         return DataConfig(min_interactions=self.min_interactions,

@@ -62,7 +62,6 @@ class ModelConfig:
     gnn_depth: int = 2       # graph propagation steps
     t_max: int = 16          # sequence window
     dropout: float = 0.3     # attention weights and feed-forward activations
-    temperature: float = 1.0  # contrastive similarity scale
 
 
 @dataclasses.dataclass
@@ -91,8 +90,6 @@ class ExpertEncoderParams:
     """Exactly the parameter set exchanged through the server cache."""
 
     blocks: list[EncoderBlock]
-    heads: int
-    width: int
 
     def parameters(self) -> list[Parameter]:
         return [p for b in self.blocks for p in b.parameters()]
@@ -149,7 +146,7 @@ def init_encoder(rng: np.random.Generator, cfg: ModelConfig) -> ExpertEncoderPar
             ff_out=w(n + "ff_out", (f, d)),
             ff_out_bias=Parameter(np.zeros(d), n + "ff_out_bias"),
         ))
-    return ExpertEncoderParams(blocks, cfg.heads, d)
+    return ExpertEncoderParams(blocks)
 
 
 def init_branch(rng: np.random.Generator, num_items: int, cfg: ModelConfig) -> BranchParams:

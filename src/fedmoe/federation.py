@@ -34,8 +34,8 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, backward
-from .checkpoint import ExpertCheckpoint, checkpoint_from_params, load_into_params
+from .autodiff import Parameter, Tape, Tensor, backward
+from .checkpoint import ExpertCheckpoint, check_layout, checkpoint_from_params, load_into_params
 from .config import RunConfig
 from .data import DomainDataset, ScenarioSpec, augment_batch
 from .errors import ConfigError, EmptyDatasetError
@@ -55,8 +55,8 @@ _TAG_INIT, _TAG_ROUND, _TAG_PRETRAIN, _TAG_SERVER = 11, 23, 37, 53
 class ServerCache:
     """Domain id -> latest uploaded encoder checkpoint.
 
-    The first upload of a domain fixes its entry names and shapes; a later
-    upload must have the same, and every value of every upload must be finite.
+    An upload must have the entry names and shapes of the one held for its
+    domain, and every value of every upload must be finite.
     """
 
     def __init__(self):
@@ -64,22 +64,16 @@ class ServerCache:
         self.shared: ExpertCheckpoint | None = None  # fedavg baseline only
         self.round_index = 0
         self.upload_history: list[tuple[int, str, tuple[str, ...]]] = []
-        self._layouts: dict[str, dict[str, tuple[int, ...]]] = {}
 
     def put(self, domain_id: str, ckpt: ExpertCheckpoint) -> None:
         """Store an upload; a malformed one raises ValueError and is not stored."""
-        got = {n: a.shape for n, a in ckpt.entries}
-        want = self._layouts.get(domain_id, got)
-        for name in sorted(got.keys() | want.keys()):
-            if got.get(name) != want.get(name):
-                raise ValueError(
-                    f"upload from domain {domain_id!r}: entry {name!r} has shape "
-                    f"{got.get(name, 'absent')}, its first upload {want.get(name, 'absent')}")
+        what = f"upload from domain {domain_id!r}"
+        held = self.checkpoints.get(domain_id)
+        if held is not None:
+            check_layout(dict(ckpt.entries), {n: a.shape for n, a in held.entries}, what)
         for name, arr in ckpt.entries:
             if not np.isfinite(arr).all():
-                raise ValueError(f"upload from domain {domain_id!r}: entry {name!r} "
-                                 f"has non-finite values")
-        self._layouts.setdefault(domain_id, got)
+                raise ValueError(f"{what}: entry {name!r} has non-finite values")
         self.upload_history.append((self.round_index, domain_id, tuple(ckpt.names)))
         self.checkpoints[domain_id] = ckpt
 
@@ -122,8 +116,8 @@ class ClientState:
             return gate_forward(z_list, self.gate)
         return uniform_gate_weights(z_list[0].data.shape[0], len(z_list))
 
-    def all_parameters(self):
-        return [p for _, params in self._named_groups() for p in params]
+    def all_parameters(self) -> list[Parameter]:
+        return list(self._named_parameters().values())
 
     def round_rng(self, tag: int, index: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -133,55 +127,43 @@ class ClientState:
         return checkpoint_from_params(self.local.encoder.parameters())
 
     def sync(self, snapshot: dict[str, ExpertCheckpoint]) -> None:
-        """Download the other domains' encoders; they arrive frozen unless
-        the mode trains them deliberately."""
-        trainable = not self.cfg.policy.frozen
-        for dom, branch in self.global_branches.items():
+        """Download the other domains' encoders, all or nothing: every global
+        branch's checkpoint must be present and fit before any encoder is
+        written, so a failure leaves every encoder and the optimizer moments
+        as they were. Frozen encoders stay frozen, as ``build_client`` set them."""
+        for dom in self.global_branches:
             if dom not in snapshot:
                 raise ConfigError(f"server cache is missing domain {dom!r}")
-            params = branch.encoder.parameters()
-            load_into_params(snapshot[dom], params)
-            branch.encoder.set_trainable(trainable)
-            self.optimizer.reset_state(params)
+        encoders = {f"global.{dom}.{p.name}": p for dom, branch in self.global_branches.items()
+                    for p in branch.encoder.parameters()}
+        arrays = {f"global.{dom}.{name}": a for dom in self.global_branches
+                  for name, a in snapshot[dom].entries}
+        load_into_params(arrays, encoders, f"domain {self.domain_id!r}: download")
+        self.optimizer.reset_state(encoders.values())
 
     def sync_shared(self, shared: ExpertCheckpoint) -> None:
         """FedAvg baseline: the local encoder is replaced by the shared one."""
-        params = self.local.encoder.parameters()
-        load_into_params(shared, params)
-        self.optimizer.reset_state(params)
+        params = {p.name: p for p in self.local.encoder.parameters()}
+        load_into_params(dict(shared.entries), params, f"domain {self.domain_id!r}: shared encoder")
+        self.optimizer.reset_state(params.values())
 
     def snapshot_parameters(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self._named_parameters().items()}
 
     def restore_parameters(self, state: dict[str, np.ndarray]) -> None:
-        """Load a ``snapshot_parameters`` state. Every name and shape is
-        checked first: a state that does not fit raises ``ValueError``
-        naming the entry and leaves every parameter as it was."""
-        named = self._named_parameters()
-        missing, extra = sorted(named.keys() - state.keys()), sorted(state.keys() - named.keys())
-        if missing:
-            raise ValueError(f"domain {self.domain_id!r}: state has no entry {missing[0]!r}")
-        if extra:
-            raise ValueError(f"domain {self.domain_id!r}: state entry {extra[0]!r} "
-                             f"is not a parameter of this client")
-        for name, p in named.items():
-            if np.shape(state[name]) != p.data.shape:
-                raise ValueError(f"domain {self.domain_id!r}: state entry {name!r} has shape "
-                                 f"{np.shape(state[name])}, expected {p.data.shape}")
-        for name, p in named.items():
-            p.tensor.data = state[name].astype(p.data.dtype)
+        """Load a ``snapshot_parameters`` state. A state that does not fit
+        raises ``ValueError`` naming the entry and changes nothing."""
+        load_into_params(state, self._named_parameters(), f"domain {self.domain_id!r}: state")
 
-    def _named_parameters(self) -> dict:
-        return {f"{prefix}{p.name}": p for prefix, params in self._named_groups()
-                for p in params}
-
-    def _named_groups(self):
-        groups = [("local.", self.local.parameters())]
+    def _named_parameters(self) -> dict[str, Parameter]:
+        """State name -> parameter: local, global branches by domain, gate."""
+        named = {f"local.{p.name}": p for p in self.local.parameters()}
         for dom in sorted(self.global_branches):
-            groups.append((f"global.{dom}.", self.global_branches[dom].parameters()))
+            named.update({f"global.{dom}.{p.name}": p
+                          for p in self.global_branches[dom].parameters()})
         if self.gate is not None:
-            groups.append(("", self.gate.parameters()))
-        return groups
+            named.update({p.name: p for p in self.gate.parameters()})
+        return named
 
 
 def build_client(scenario: ScenarioSpec, domain_id: str, cfg: RunConfig) -> ClientState:
@@ -304,21 +286,18 @@ def client_update(client: ClientState, snapshot: dict[str, ExpertCheckpoint] | N
 
 
 def fedavg_aggregate(checkpoints: list[ExpertCheckpoint]) -> ExpertCheckpoint:
-    """Elementwise mean across identically shaped checkpoints."""
+    """Elementwise mean, taken in float64, across checkpoints with the first
+    one's entry names, shapes and order."""
     if not checkpoints:
         raise ValueError("nothing to aggregate")
     names = checkpoints[0].names
-    for c in checkpoints[1:]:
+    shapes = {n: a.shape for n, a in checkpoints[0].entries}
+    for i, c in enumerate(checkpoints[1:], 1):
+        check_layout(dict(c.entries), shapes, f"checkpoint {i} to aggregate")
         if c.names != names:
-            raise ValueError("checkpoint parameter names disagree")
-        for n in names:
-            if c.get(n).shape != checkpoints[0].get(n).shape:
-                raise ValueError(f"shape mismatch for {n}")
-    entries = []
-    for n in names:
-        stacked = np.stack([c.get(n).astype(np.float64) for c in checkpoints])
-        entries.append((n, stacked.mean(axis=0).astype(np.float32)))
-    return ExpertCheckpoint(entries)
+            raise ValueError(f"checkpoint {i} to aggregate lists its entries in another order")
+    return ExpertCheckpoint([(n, np.mean([c.get(n) for c in checkpoints], axis=0, dtype=np.float64))
+                             for n in names])
 
 
 # ---------------------------------------------------------------------------

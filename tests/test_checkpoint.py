@@ -1,5 +1,6 @@
 """Checkpoint wire-format round-trip tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedmoe import autodiff as ad
 from fedmoe import expert
-from fedmoe.checkpoint import (ExpertCheckpoint, checkpoint_from_params,
+from fedmoe.checkpoint import (ExpertCheckpoint, check_layout, checkpoint_from_params,
                                load_into_params)
 from fedmoe.optim import Adam
 
@@ -79,7 +80,8 @@ class TestParamsBridge:
         assert set(ckpt.names) == {p.name for p in enc.parameters()}
 
         other = expert.init_encoder(np.random.default_rng(99), cfg)
-        load_into_params(ckpt, other.parameters())
+        load_into_params(dict(ckpt.entries), {p.name: p for p in other.parameters()},
+                         "encoder")
         for p, q in zip(enc.parameters(), other.parameters()):
             np.testing.assert_array_equal(p.data.astype(np.float32), q.data)
 
@@ -89,9 +91,11 @@ class TestParamsBridge:
         small = expert.init_encoder(
             np.random.default_rng(0),
             expert.ModelConfig(width=8, blocks=2, heads=1, ff_mult=2, t_max=4))
-        with pytest.raises(ValueError, match="mismatch"):
-            load_into_params(checkpoint_from_params(enc.parameters()),
-                             small.parameters())
+        before = [p.data.tobytes() for p in small.parameters()]
+        with pytest.raises(ValueError, match="encoder has no entry 'block1.attn_k'"):
+            load_into_params(dict(checkpoint_from_params(enc.parameters()).entries),
+                             {p.name: p for p in small.parameters()}, "encoder")
+        assert [p.data.tobytes() for p in small.parameters()] == before
 
     def test_shape_mismatch_leaves_every_parameter_unchanged(self):
         params = [ad.Parameter(np.arange(6.0).reshape(2, 3), "a"),
@@ -100,9 +104,32 @@ class TestParamsBridge:
         # "a" fits and comes first; only the later "b" has the wrong shape
         ckpt = ExpertCheckpoint([("a", np.ones((2, 3), np.float32)),
                                  ("b", np.ones(5, np.float32))])
-        with pytest.raises(ValueError, match="b: shape"):
-            load_into_params(ckpt, params)
+        with pytest.raises(ValueError, match=r"params entry 'b' has shape \(5,\), expected \(4,\)"):
+            load_into_params(dict(ckpt.entries), {p.name: p for p in params}, "params")
         assert [p.data.tobytes() for p in params] == before
+
+    @pytest.mark.parametrize("arrays, message", [
+        ({"a": np.zeros(2)}, "x has no entry 'b'"),
+        ({"a": np.zeros(2), "b": np.zeros(3), "c": np.zeros(1)}, "x has an unexpected entry 'c'"),
+        ({"a": np.zeros(2), "b": np.zeros((3, 1))}, "x entry 'b' has shape (3, 1), expected (3,)"),
+        # the first entry in name order is named, whatever the kind of misfit
+        ({"b": np.zeros(3), "aa": np.zeros(1)}, "x has no entry 'a'"),
+        ({"a": np.zeros(1), "c": np.zeros(1)}, "x entry 'a' has shape (1,), expected (2,)")])
+    def test_check_layout_names_the_first_misfit(self, arrays, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_layout(arrays, {"a": (2,), "b": (3,)}, "x")
+
+    def test_load_writes_at_each_parameter_width_and_copies(self):
+        with ad.default_dtype(np.float32):
+            p = ad.Parameter(np.zeros(3), "p")
+        with ad.default_dtype(np.float64):
+            q = ad.Parameter(np.zeros(2), "q")
+        arrays = {"p": np.arange(3.0), "q": np.arange(2, dtype=np.float32)}
+        load_into_params(arrays, {"p": p, "q": q}, "x")
+        assert (p.data.dtype, q.data.dtype) == (np.float32, np.float64)
+        np.testing.assert_array_equal(p.data, [0, 1, 2])
+        np.testing.assert_array_equal(q.data, [0, 1])
+        assert not np.shares_memory(p.data, arrays["p"])
 
     def test_checkpoint_entries_are_immutable(self):
         ckpt = random_checkpoint()

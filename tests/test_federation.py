@@ -62,7 +62,7 @@ class TestRestoreParameters:
     @pytest.mark.parametrize("edit, message", [
         ("shape", "state entry 'global.d2.head.out' has shape (3,), expected {shape}"),
         ("missing", "state has no entry 'global.d2.head.out'"),
-        ("extra", "state entry 'zz.extra' is not a parameter of this client")])
+        ("extra", "state has an unexpected entry 'zz.extra'")])
     def test_state_that_does_not_fit_changes_nothing(self, scenario, edit, message):
         # the entries before 'global.d2.head.out' would be written first
         client = federation.build_client(scenario, "d0", small_config())
@@ -108,6 +108,43 @@ class TestClientUpdate:
                 if p.data.tobytes() != snapshot[dom].get(p.name).astype(p.data.dtype).tobytes():
                     changed = True
         assert changed
+
+    @pytest.mark.parametrize("edit, error, message", [
+        ("missing", ConfigError, "server cache is missing domain 'd2'"),
+        ("shape", ValueError, "domain 'd0': download entry 'global.d2.block0.ff_out_bias' "
+                              "has shape (15,), expected (16,)")])
+    def test_failed_download_writes_no_encoder_and_keeps_moments(self, scenario, edit,
+                                                                 error, message):
+        # d1 comes first and fits, so a branch-by-branch sync would write it
+        cfg = small_config(mode="no_freeze")
+        clients = [federation.build_client(scenario, d, cfg) for d in ("d0", "d1", "d2")]
+        cache = federation.ServerCache()
+        for c in clients:
+            cache.put(c.domain_id, c.local_encoder_checkpoint())
+        client = clients[0]
+        federation.client_update(client, cache.snapshot(), 0)
+        snapshot = {dom: ExpertCheckpoint([(n, a + 1.0) for n, a in ckpt.entries])
+                    for dom, ckpt in cache.snapshot().items()}
+        if edit == "missing":
+            del snapshot["d2"]
+        else:
+            snapshot["d2"] = ExpertCheckpoint([(n, a[:-1] if n == "block0.ff_out_bias" else a)
+                                               for n, a in snapshot["d2"].entries])
+
+        def encoder_bytes():
+            return [p.data.tobytes() for branch in client.global_branches.values()
+                    for p in branch.encoder.parameters()]
+
+        def moment_bytes():
+            return {key: (m.tobytes(), v.tobytes())
+                    for key, (m, v) in client.optimizer._moments.items()}
+
+        encoders, moments = encoder_bytes(), moment_bytes()
+        assert any(id(p) in moments for p in client.global_branches["d1"].encoder.parameters())
+        with pytest.raises(error, match=re.escape(message)):
+            client.sync(snapshot)
+        assert encoder_bytes() == encoders
+        assert moment_bytes() == moments
 
     def test_returned_checkpoint_differs_from_round_start(self, scenario):
         cfg = small_config()
@@ -344,7 +381,22 @@ class TestFedavgAggregate:
     def test_name_mismatch_rejected(self):
         a = ExpertCheckpoint([("w", np.zeros(2, np.float32))])
         b = ExpertCheckpoint([("v", np.zeros(2, np.float32))])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="checkpoint 1 to aggregate has an unexpected "
+                                             "entry 'v'"):
+            federation.fedavg_aggregate([a, b])
+
+    def test_shape_mismatch_names_the_entry(self):
+        a = ExpertCheckpoint([("b", np.zeros(3, np.float32)), ("w", np.zeros((2, 3), np.float32))])
+        c = ExpertCheckpoint([("b", np.zeros(3, np.float32)), ("w", np.zeros((3, 2), np.float32))])
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint 2 to aggregate entry 'w' has shape (3, 2), expected (2, 3)")):
+            federation.fedavg_aggregate([a, a, c])
+
+    def test_entry_order_mismatch_rejected(self):
+        a = ExpertCheckpoint([("b", np.zeros(3, np.float32)), ("w", np.zeros(2, np.float32))])
+        b = ExpertCheckpoint([("w", np.zeros(2, np.float32)), ("b", np.zeros(3, np.float32))])
+        with pytest.raises(ValueError, match="checkpoint 1 to aggregate lists its entries in "
+                                             "another order"):
             federation.fedavg_aggregate([a, b])
 
 

@@ -10,10 +10,11 @@ dropout. A change to the dropout stream moves the first table alone; the
 second shows that nothing else moved. A failing run prints the digests it
 got beside the pinned ones, so a re-pin shows old and new in one run.
 
-A third table runs fmoe and fedavg with two blocks of two heads, with and
-without dropout: the tiny config's single one-head block never attends at
-every position, so only this table pins the all-position attention of the
-earlier blocks and the per-head split end to end.
+Two more tables run fmoe and fedavg with two blocks, with and without
+dropout: one with two heads, one with one head. The tiny config's single
+one-head block never attends at every position, so only these tables pin
+the all-position attention of the earlier blocks end to end: the per-head
+split with two heads, and the default model's one-head path with one.
 
 drop_expert runs with drop_domain="d1" and two_phase with pretrain_epochs=1;
 each is passed only to the mode that reads it.
@@ -76,6 +77,18 @@ GOLDEN_TWO_BLOCKS_SHA256 = {
                       "bc809ecc94beaa4b1fded4dded284fe1b98b19a6ab8c757530d7ede820a27eba"),
 }
 
+# (mode, dropout): (records, server cache state), blocks=2, heads=1
+GOLDEN_TWO_BLOCKS_ONE_HEAD_SHA256 = {
+    ("fmoe", 0.1): ("73c23410c21d17e9ac0917938baf5242fb3fd5adf9e35b7f6233d7cd178ae996",
+                    "50317a5c7e07b761d57ed536ae4d6a21bada1b5b9c4c8e6d2887f7379ccfc516"),
+    ("fmoe", 0.0): ("0292eee213b33b94acb17004df70d6244f5f39f558416023b4734779ff9ac08e",
+                    "d1805e1ae276d50ac8ee269f5873956a9051099be112482b77cc13692ab03787"),
+    ("fedavg", 0.1): ("62fa91520ed84b804293cd60957d76e59621038347a7a44f4da43a44f935a7a8",
+                      "d5d34466ddf791a71ce09cf0f32bac1b8b251b8447dfe5a622ecff6aa6ece939"),
+    ("fedavg", 0.0): ("0645e10b391df5cad418e3c75fa6225f398e46a4297df89ddddbd48d1d87175d",
+                      "cff144243c288e1bc363bba5f851b573bf6f408f86235270afd73000e3fc45bb"),
+}
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -115,3 +128,9 @@ def test_golden_run_without_dropout(scenario, mode):
 def test_golden_run_two_blocks_two_heads(scenario, mode, dropout):
     _assert_pinned((mode, dropout), _digests(scenario, mode, blocks=2, heads=2, dropout=dropout),
                    GOLDEN_TWO_BLOCKS_SHA256)
+
+
+@pytest.mark.parametrize("mode, dropout", sorted(GOLDEN_TWO_BLOCKS_ONE_HEAD_SHA256))
+def test_golden_run_two_blocks_one_head(scenario, mode, dropout):
+    _assert_pinned((mode, dropout), _digests(scenario, mode, blocks=2, heads=1, dropout=dropout),
+                   GOLDEN_TWO_BLOCKS_ONE_HEAD_SHA256)

@@ -258,14 +258,18 @@ def matmul(a, b) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def bwd(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(_product(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(_product(np.swapaxes(a.data, -1, -2), g), b.data.shape)
-        return ga, gb
+        ga, gb = _matmul_grads(g, a.data, b.data, a.requires_grad, b.requires_grad)
+        return (None if ga is None else _unbroadcast(ga, a.data.shape),
+                None if gb is None else _unbroadcast(gb, b.data.shape))
 
     return _record(out, (a, b), bwd)
+
+
+def _matmul_grads(g, a: np.ndarray, b: np.ndarray, need_a: bool, need_b: bool):
+    """The gradients of np.matmul(a, b) as matmul's backward forms them,
+    before any sum over broadcast axes; None where not needed."""
+    return (_product(g, np.swapaxes(b, -1, -2)) if need_a else None,
+            _product(np.swapaxes(a, -1, -2), g) if need_b else None)
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -363,29 +367,14 @@ def take_rows(a, rows) -> Tensor:
     d = a.data.shape[-1]
     rows = np.asarray(rows)
     out = Tensor(a.data.reshape(-1, d)[rows])
-
-    def bwd(g):
-        ga = np.zeros((a.data.size // d, d), dtype=a.data.dtype)
-        ga[rows] = g
-        return (ga.reshape(a.data.shape),)
-
-    return _record(out, (a,), bwd)
+    return _record(out, (a,), lambda g: (_placed(g, rows, a.data.size // d).reshape(a.data.shape),))
 
 
-def scatter_rows(a, rows, lead) -> Tensor:
-    """The rows of a 2-d tensor placed at distinct indices into the
-    flattened leading axes `lead`, zeros elsewhere: shape lead + (d,).
-
-    The inverse of take_rows; backward takes the rows back out.
-    """
-    a = as_tensor(a)
-    d = a.data.shape[-1]
-    rows = np.asarray(rows)
-    lead = tuple(lead)
-    out = np.zeros((int(np.prod(lead)), d), dtype=a.data.dtype)
-    out[rows] = a.data
-    return _record(Tensor(out.reshape(lead + (d,))), (a,),
-                   lambda g: (g.reshape(-1, d)[rows],))
+def _placed(values: np.ndarray, rows, count: int) -> np.ndarray:
+    """values at the distinct rows of a zero array of count rows."""
+    out = np.zeros((count,) + values.shape[1:], dtype=values.dtype)
+    out[rows] = values
+    return out
 
 
 def slice_rows(a, start: int, stop: int) -> Tensor:
@@ -484,13 +473,27 @@ def gelu(a) -> Tensor:
     arithmetic (one transcendental per call).
     """
     a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-_GELU_SLOPE * a.data))
+    s = _gelu_sigmoid(a.data)
     out = Tensor(a.data * s)
+    return _record(out, (a,), lambda g: (_gelu_grad(g, a.data, s),))
 
-    def bwd(g):
-        return (g * (s + _GELU_SLOPE * a.data * s * (1.0 - s)),)
 
-    return _record(out, (a,), bwd)
+def _gelu_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-1.702 x)), computed in one buffer."""
+    s = np.multiply(x, -_GELU_SLOPE)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g * (s + 1.702 x s (1 - s)): gelu's gradient at x, whose sigmoid is s."""
+    out = np.multiply(x, _GELU_SLOPE)
+    out *= s
+    out *= 1.0 - s
+    out += s
+    out *= g
+    return out
 
 
 def softmax_values(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
@@ -507,13 +510,12 @@ def softmax(a, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along one axis."""
     a = as_tensor(a)
     y = softmax_values(a.data, axis)
-    out = Tensor(y)
+    return _record(Tensor(y), (a,), lambda g: (_softmax_grad(g, y, axis),))
 
-    def bwd(g):
-        # dx = y * (g - sum(g * y))
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
-    return _record(out, (a,), bwd)
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """dx = y * (g - sum(g * y)) for y = softmax(x) along axis."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
 
 def cross_entropy(logits, target, return_prob: bool = False):
@@ -590,66 +592,195 @@ def _dropout_mask(a: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarr
     """Inverted-dropout mask of a's shape and width from a.size uniforms."""
     keep = 1.0 - p
     draw_dtype = np.float32 if a.dtype == np.float32 else np.float64
-    return (rng.random(a.shape, dtype=draw_dtype) < keep).astype(a.dtype) / keep
+    return np.divide(rng.random(a.shape, dtype=draw_dtype) < keep, keep, dtype=a.dtype)
 
 
-def pooled_attention(h, r, rows, bias: np.ndarray, scale: float, p: float = 0.0,
-                     rng: np.random.Generator | None = None) -> Tensor:
-    """One query per sequence attending over packed states: the pooled
-    states (batch, heads, d) of
+# ---------------------------------------------------------------------------
+# layer-level operations
+# ---------------------------------------------------------------------------
+#
+# Each records one node for a chain of the ops above and runs the chain's
+# numpy calls in its order, so values, dropout draws and gradients are the
+# chain's bit for bit: sums keep their operand order, a weight's gradient is
+# formed only when it is trainable, and an input read twice gets its terms
+# added in the order the tape added them. A bias or scale is applied in
+# place to a product the op owns: the same values without a second array.
 
-        hs = scatter_rows(h, rows, (batch, t))               # (batch, t, d)
-        y = softmax(scale * matmul(hs, r) + bias, axis=1)    # (batch, t, heads)
-        attn = dropout(swapaxes(y, 1, 2), p, rng)            # (batch, heads, t)
-        out = matmul(attn, hs)
 
-    for packed states h (n, d) at distinct rows of the flattened (batch, t)
-    layout, per-head query vectors r (batch, d, heads) and a constant
-    additive bias (batch, t, 1). The forward runs that chain's numpy calls
-    and draws its dropout numbers, so the output is the same bit for bit.
-
-    The backward gives h's gradient at its own rows only. With one head
-    both outer products of the chain's state gradient are elementwise
-    products at those rows, so no padded gradient is formed; with more
-    heads the padded products are formed and the rows taken. The chain
-    summed the same two terms, so the gradients are bit-identical too.
-    """
-    h, r = as_tensor(h), as_tensor(r)
-    d = h.data.shape[-1]
-    b, t = bias.shape[:2]
-    rows = np.asarray(rows)
-    scale = float(scale)
-    hs = np.zeros((b * t, d), dtype=h.data.dtype)
-    hs[rows] = h.data
-    hs = hs.reshape(b, t, d)
-    y = softmax_values(np.matmul(hs, r.data) * scale + bias, axis=1)
-    attn = np.swapaxes(y, 1, 2)
-    mask = None
-    if rng is not None and p > 0.0:
-        mask = _dropout_mask(attn, p, rng)
-        attn = attn * mask
-    out = Tensor(np.matmul(attn, hs))
+def feed_forward(x, w_in, b_in, w_out, b_out, p: float = 0.0,
+                 rng: np.random.Generator | None = None) -> Tensor:
+    """The chain add(matmul(dropout(gelu(add(matmul(x, w_in), b_in)), p, rng),
+    w_out), b_out) for rows x (n, d); dropout applies when rng is given and
+    p > 0."""
+    x, w_in, b_in, w_out, b_out = (as_tensor(t) for t in (x, w_in, b_in, w_out, b_out))
+    pre = np.matmul(x.data, w_in.data)
+    pre += b_in.data
+    s = _gelu_sigmoid(pre)
+    f = pre * s
+    mask = _dropout_mask(f, p, rng) if rng is not None and p > 0.0 else None
+    if mask is not None:
+        f *= mask
+    out = np.matmul(f, w_out.data)
+    out += b_out.data
 
     def bwd(g):
-        g_attn = _product(g, np.swapaxes(hs, -1, -2))
-        if mask is not None:
-            g_attn = g_attn * mask
-        g_y = np.swapaxes(g_attn, 1, 2)
-        g_scores = y * (g_y - (g_y * y).sum(axis=1, keepdims=True)) * scale
-        gh = gr = None
-        if h.requires_grad:
-            if r.data.shape[-1] == 1:
-                bi, ti = np.divmod(rows, t)
-                gh = attn[bi, 0, ti][:, None] * g[bi, 0] + g_scores[bi, ti] * r.data[bi, :, 0]
-            else:
-                g_hs = (_product(np.swapaxes(attn, -1, -2), g)
-                        + _product(g_scores, np.swapaxes(r.data, -1, -2)))
-                gh = g_hs.reshape(-1, d)[rows]
-        if r.requires_grad:
-            gr = _product(np.swapaxes(hs, -1, -2), g_scores)
-        return gh, gr
+        need_f = x.requires_grad or w_in.requires_grad or b_in.requires_grad
+        gf, gw_out = _matmul_grads(g, f, w_out.data, need_f, w_out.requires_grad)
+        gb_out = _unbroadcast(g, b_out.data.shape) if b_out.requires_grad else None
+        gx = gw_in = gb_in = None
+        if need_f:
+            if mask is not None:
+                gf *= mask
+            gpre = _gelu_grad(gf, pre, s)
+            gb_in = _unbroadcast(gpre, b_in.data.shape) if b_in.requires_grad else None
+            gx, gw_in = _matmul_grads(gpre, x.data, w_in.data, x.requires_grad, w_in.requires_grad)
+        return gx, gw_in, gb_in, gw_out, gb_out
 
-    return _record(out, (h, r), bwd)
+    return _record(Tensor(out), (x, w_in, b_in, w_out, b_out), bwd)
+
+
+def self_attention(h, wq, wk, wv, wo, rows, bias: np.ndarray, heads: int, scale: float,
+                   p: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head self-attention output (n, d) at every row of the packed
+    states h (n, d), which sit at the distinct rows of the flattened (b, t)
+    layout of the constant additive bias (b, 1, t, t). The chain, with
+    split (b, t, d) -> (b, heads, t, dh) and merge its inverse:
+
+        q, k, v = (split(scatter(matmul(h, w), rows)) for w in (wq, wk, wv))
+        y = softmax(add(scale(matmul(q, swapaxes(k)), scale), bias))
+        out = matmul(take_rows(merge(matmul(dropout(y, p, rng), v)), rows), wo)
+
+    Padding positions hold zeros; dropout applies when rng is given and
+    p > 0. h's gradient adds the terms through v, k and q in that order.
+    """
+    h, wq, wk, wv, wo = (as_tensor(t) for t in (h, wq, wk, wv, wo))
+    d = h.data.shape[-1]
+    b, t = bias.shape[0], bias.shape[-1]
+    dh = d // heads
+    rows = np.asarray(rows)
+    scale = float(scale)
+
+    def split(x):  # (b * t, d) -> (b, heads, t, dh)
+        return np.swapaxes(x.reshape(b, t, heads, dh), 1, 2)
+
+    q, k, v = (split(_placed(np.matmul(h.data, w.data), rows, b * t)) for w in (wq, wk, wv))
+    k_t = np.swapaxes(k, -1, -2)
+    scores = np.matmul(q, k_t)
+    scores *= scale
+    scores += bias
+    y = softmax_values(scores, -1, out=scores)
+    mask = _dropout_mask(y, p, rng) if rng is not None and p > 0.0 else None
+    attn = y if mask is None else y * mask
+    ctx = np.swapaxes(np.matmul(attn, v), 1, 2).reshape(-1, d)[rows]
+
+    def bwd(g):
+        need_q, need_k, need_v = (h.requires_grad or w.requires_grad for w in (wq, wk, wv))
+        g_ctx, gwo = _matmul_grads(g, ctx, wo.data, need_q or need_k or need_v,
+                                   wo.requires_grad)
+        g_attn = g_v = g_q = g_k = gh = None
+        if g_ctx is not None:
+            g_attn, g_v = _matmul_grads(split(_placed(g_ctx, rows, b * t)), attn, v,
+                                        need_q or need_k, need_v)
+        if g_attn is not None:
+            if mask is not None:
+                g_attn *= mask
+            g_scores = _softmax_grad(g_attn, y, -1)
+            g_scores *= scale
+            g_q, g_kt = _matmul_grads(g_scores, q, k_t, need_q, need_k)
+            g_k = None if g_kt is None else np.swapaxes(g_kt, -1, -2)
+        gw = []
+        for w, g_heads in ((wv, g_v), (wk, g_k), (wq, g_q)):
+            gh_w = gw_w = None
+            if g_heads is not None:
+                gh_w, gw_w = _matmul_grads(np.swapaxes(g_heads, 1, 2).reshape(-1, d)[rows],
+                                           h.data, w.data, h.requires_grad, w.requires_grad)
+            gw.append(gw_w)
+            if gh_w is not None:
+                gh = gh_w if gh is None else gh + gh_w
+        gwv, gwk, gwq = gw
+        return gh, gwq, gwk, gwv, gwo
+
+    return _record(Tensor(np.matmul(ctx, wo.data)), (h, wq, wk, wv, wo), bwd)
+
+
+def final_attention(h, wq, wk, wv, wo, rows, last, bias: np.ndarray, heads: int, scale: float,
+                    p: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head attention output (b, d) of each sequence's final query,
+    at row last of the packed states h (n, d), over those states, which sit
+    at the distinct rows of the flattened (b, t) layout of the constant
+    additive bias (b, t, 1). The chain, with hs = scatter(h, rows):
+
+        q = swapaxes(reshape(matmul(take_rows(h, last), wq), (b, heads, dh)), 0, 1)
+        r = swapaxes(swapaxes(matmul(q, reshape(swapaxes(wk), (heads, dh, d))), 0, 1), 1, 2)
+        y = softmax(add(scale(matmul(hs, r), scale), bias), axis=1)
+        pooled = swapaxes(matmul(dropout(swapaxes(y, 1, 2), p, rng), hs), 0, 1)
+        v = swapaxes(reshape(wv, (d, heads, dh)), 0, 1)
+        out = matmul(reshape(swapaxes(matmul(pooled, v), 0, 1), (b, d)), wo)
+
+    Keys and values are never formed: by associativity the score of state
+    j is q.(h_j W_k) = (q W_k^T).h_j and the context (sum_j a_j h_j) W_v.
+    h's gradient, formed at its own rows only (with one head as
+    elementwise products), adds the pooled term, then the query term.
+    """
+    h, wq, wk, wv, wo = (as_tensor(t) for t in (h, wq, wk, wv, wo))
+    n, d = h.data.shape
+    b, t = bias.shape[:2]
+    dh = d // heads
+    rows, last = np.asarray(rows), np.asarray(last)
+    scale = float(scale)
+    h_last = h.data[last]
+    q = np.swapaxes(np.matmul(h_last, wq.data).reshape(b, heads, dh), 0, 1)   # (heads, b, dh)
+    k_t = np.swapaxes(wk.data, 0, 1).reshape(heads, dh, d)
+    r = np.swapaxes(np.swapaxes(np.matmul(q, k_t), 0, 1), 1, 2)              # (b, d, heads)
+    hs = _placed(h.data, rows, b * t).reshape(b, t, d)
+    scores = np.matmul(hs, r)
+    scores *= scale
+    scores += bias
+    y = softmax_values(scores, 1, out=scores)                                # (b, t, heads)
+    attn = np.swapaxes(y, 1, 2)
+    mask = _dropout_mask(attn, p, rng) if rng is not None and p > 0.0 else None
+    if mask is not None:
+        attn = attn * mask
+    pooled = np.swapaxes(np.matmul(attn, hs), 0, 1)                          # (heads, b, d)
+    v = np.swapaxes(wv.data.reshape(d, heads, dh), 0, 1)                     # (heads, d, dh)
+    ctx = np.swapaxes(np.matmul(pooled, v), 0, 1).reshape(b, d)
+
+    def bwd(g):
+        need_q = h.requires_grad or wq.requires_grad
+        need_r = need_q or wk.requires_grad
+        need_pooled = h.requires_grad or need_r
+        g_ctx, gwo = _matmul_grads(g, ctx, wo.data, need_pooled or wv.requires_grad,
+                                   wo.requires_grad)
+        gh = gwq = gwk = gwv = g_pooled = g_q = None
+        if g_ctx is not None:
+            g_pooled, g_v = _matmul_grads(np.swapaxes(g_ctx.reshape(b, heads, dh), 0, 1), pooled,
+                                          v, need_pooled, wv.requires_grad)
+            gwv = None if g_v is None else np.swapaxes(g_v, 0, 1).reshape(d, d)
+        if g_pooled is not None:
+            g_pooled = np.swapaxes(g_pooled, 0, 1)                           # (b, heads, d)
+            g_attn = _product(g_pooled, np.swapaxes(hs, -1, -2))
+            if mask is not None:
+                g_attn *= mask
+            g_scores = _softmax_grad(np.swapaxes(g_attn, 1, 2), y, 1) * scale
+            if h.requires_grad and heads == 1:
+                bi, ti = np.divmod(rows, t)
+                gh = attn[bi, 0, ti][:, None] * g_pooled[bi, 0] + g_scores[bi, ti] * r[bi, :, 0]
+            elif h.requires_grad:
+                gh = (_product(np.swapaxes(attn, -1, -2), g_pooled)
+                      + _product(g_scores, np.swapaxes(r, -1, -2))).reshape(-1, d)[rows]
+            if need_r:
+                g_r = _product(np.swapaxes(hs, -1, -2), g_scores)
+                g_q, g_kt = _matmul_grads(np.swapaxes(np.swapaxes(g_r, 1, 2), 0, 1), q, k_t,
+                                          need_q, wk.requires_grad)
+                gwk = None if g_kt is None else np.swapaxes(g_kt.reshape(d, d), 0, 1)
+        if g_q is not None:
+            g_last, gwq = _matmul_grads(np.swapaxes(g_q, 0, 1).reshape(b, d), h_last, wq.data,
+                                        h.requires_grad, wq.requires_grad)
+            if g_last is not None:
+                gh = gh + _placed(g_last, last, n)
+        return gh, gwq, gwk, gwv, gwo
+
+    return _record(Tensor(np.matmul(ctx, wo.data)), (h, wq, wk, wv, wo), bwd)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -3,8 +3,8 @@
 Subcommands: train, eval, generate-data, ablate, inspect-checkpoint.
 Every run writes a fully resolved config, line-delimited metric records,
 a result table, the per-domain encoder checkpoints, and full parameter
-states for later evaluation. FEDMOE_OUTDIR sets the default output
-directory.
+states for later evaluation, as .npz files at the parameters' own width.
+FEDMOE_OUTDIR sets the default output directory.
 """
 
 # BLAS fan-out loses on this model's small matrices; pin before numpy loads
@@ -18,7 +18,10 @@ import dataclasses
 import json
 import logging
 import sys
+import zipfile
 from pathlib import Path
+
+import numpy as np
 
 from . import autodiff as ad
 from . import federation
@@ -164,9 +167,16 @@ def _save_run_outputs(out_dir: Path, cfg: RunConfig, result) -> None:
     state_dir.mkdir(exist_ok=True)
     for client in result.clients:
         client.local_encoder_checkpoint().save(ckpt_dir / f"{client.domain_id}.encoder.ckpt")
-        state = client.snapshot_parameters()
-        ExpertCheckpoint(sorted(state.items())).save(
-            state_dir / f"{client.domain_id}.state.ckpt")
+        np.savez(state_dir / f"{client.domain_id}.state.npz", **client.snapshot_parameters())
+
+
+def _load_state(path: Path) -> dict:
+    """A saved client state, name -> array at the width it was saved in."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            return {name: npz[name] for name in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"unreadable state: {exc}") from exc
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -185,7 +195,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = RunConfig.load(run_dir / "resolved_config.json")
     cfg.validate()
     for dom in _domain_ids(cfg):  # a missing state fails before any data is built
-        path = run_dir / "states" / f"{dom}.state.ckpt"
+        path = run_dir / "states" / f"{dom}.state.npz"
         if not path.is_file():
             raise ConfigError(f"{path}: no saved state for domain {dom!r}")
     scenario = _load_scenario_from_config(cfg)
@@ -193,9 +203,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         clients = [federation.build_client(scenario, d, cfg)
                    for d in sorted(scenario.domain_ids)]
         for client in clients:  # every state is loaded before any scoring
-            path = run_dir / "states" / f"{client.domain_id}.state.ckpt"
+            path = run_dir / "states" / f"{client.domain_id}.state.npz"
             try:
-                client.restore_parameters(dict(ExpertCheckpoint.load(path).entries))
+                client.restore_parameters(_load_state(path))
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
         report = federation.evaluate_all(clients, args.split, 0, cfg.mode)

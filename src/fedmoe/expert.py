@@ -26,14 +26,15 @@ own lookup table.
 
 Every objective reads only the final-position representation z, so the
 encoder has one output, z, and runs the last block for each row's final
-query alone. Every earlier block attends at all real positions, in the
-(batch, t_max) layout, and packs its context back. The last block never
-forms keys or values: by associativity the final query's score of
-position j is q.(h_j W_k) = (q W_k^T).h_j and its context is
-(sum_j a_j h_j) W_v, so one vector per head scores the normed states h
-and the attention weights pool h before the value projection. Scoring
-and pooling are one tape op whose gradient reaches h at its packed rows
-only: padding never enters the attention gradient.
+query alone. Each block's attention and feed-forward are layer-level tape
+ops, one node each, bit-identical to the op chains they replace:
+ad.self_attention attends at every real position of an earlier block in
+the padded (batch, t_max) layout and packs its output back;
+ad.final_attention attends from each row's final query alone and never
+forms keys or values (one vector per head scores the normed states, and
+the weights pool them before the value projection), so padding never
+enters its gradient; ad.feed_forward runs every block's feed-forward and
+the prediction head.
 
 Each dropout mask is drawn at the shape of the activation it is applied
 to, so no number is drawn for a position that is not computed: the
@@ -115,10 +116,6 @@ class BranchParams:
                 + self.encoder.parameters()
                 + [self.head_hidden, self.head_hidden_bias,
                    self.head_out, self.head_out_bias])
-
-    def adapter_parameters(self) -> list[Parameter]:
-        """Everything except the encoder: the domain-side isolation set."""
-        return [p for p in self.parameters() if p not in self.encoder.parameters()]
 
 
 def init_encoder(rng: np.random.Generator, cfg: ModelConfig) -> ExpertEncoderParams:
@@ -245,11 +242,12 @@ def _encode(branch: BranchParams, table: Tensor, layout: BatchLayout, train: boo
     layout is given, with table the branch's lookup_table.
 
     Position-wise work runs on the packed rows: the item and position
-    gathers, every layer norm, the projections, the feed-forward and the
-    residual adds. Every block but the last attends at all real positions
-    (_attend_all); the last block attends from each row's final query
-    alone (_attend_final), and its output projection, second norm and
-    feed-forward run at the final position only.
+    gathers, every layer norm, the feed-forward and the residual adds. Every
+    block but the last attends at all real positions (ad.self_attention);
+    the last block attends from each row's final query alone
+    (ad.final_attention), and its residual, second norm and feed-forward
+    run at the final position only. ad.feed_forward is each block's
+    feed-forward.
 
     Dropout draws exactly the elements it applies, in call order from the
     one rng: an earlier block masks its (batch, heads, t, t) attention
@@ -263,76 +261,26 @@ def _encode(branch: BranchParams, table: Tensor, layout: BatchLayout, train: boo
                ad.gather_rows(branch.position_embeddings.tensor, layout.positions,
                               layout.position_onehots))
 
-    heads = cfg.heads
-    dh = cfg.width // heads
-    drop_rng = rng if train and cfg.dropout > 0.0 else None
+    heads, p = cfg.heads, cfg.dropout
+    scale = (cfg.width // heads) ** -0.5
+    drop_rng = rng if train and p > 0.0 else None
     blocks = branch.encoder.blocks
     for i, block in enumerate(blocks):
         h = ad.layer_norm(x, block.norm1_gain.tensor, block.norm1_bias.tensor)
+        w = (block.attn_q.tensor, block.attn_k.tensor, block.attn_v.tensor,
+             block.attn_out.tensor)
         if i < len(blocks) - 1:
-            x = ad.add(x, _attend_all(block, h, layout, heads, dh, drop_rng, cfg.dropout))
+            bias = layout.attention_bias(h.data.dtype)
+            x = ad.add(x, ad.self_attention(h, *w, layout.vi, bias, heads, scale, p, drop_rng))
         else:
+            bias = layout.attention_bias(h.data.dtype, final=True)
             x = ad.add(ad.take_rows(x, layout.last),
-                       _attend_final(block, h, layout, heads, dh, drop_rng, cfg.dropout))
-
+                       ad.final_attention(h, *w, layout.vi, layout.last, bias, heads, scale, p,
+                                          drop_rng))
         h2 = ad.layer_norm(x, block.norm2_gain.tensor, block.norm2_bias.tensor)
-        f = ad.gelu(ad.add(ad.matmul(h2, block.ff_in.tensor), block.ff_in_bias.tensor))
-        if drop_rng is not None:
-            f = ad.dropout(f, cfg.dropout, drop_rng)
-        x = ad.add(x, ad.add(ad.matmul(f, block.ff_out.tensor), block.ff_out_bias.tensor))
+        x = ad.add(x, ad.feed_forward(h2, block.ff_in.tensor, block.ff_in_bias.tensor,
+                                      block.ff_out.tensor, block.ff_out_bias.tensor, p, drop_rng))
     return x
-
-
-def _attend_all(block: EncoderBlock, h: Tensor, layout: BatchLayout, heads: int, dh: int,
-                rng: np.random.Generator | None, p: float) -> Tensor:
-    """Causal self-attention output (n_real, d) at every packed row of h.
-
-    The projections run on the packed rows; q, k and v are placed at
-    their positions layout.vi of the (batch, t) layout for the attention
-    itself, with zeros at padding, and the context is packed back before
-    the output projection, dropping what the padding queries computed.
-    """
-    bias = layout.attention_bias(h.data.dtype)
-    b, _, _, t = bias.shape
-    d = h.data.shape[-1]
-    q, k, v = (_split_heads(ad.scatter_rows(ad.matmul(h, w.tensor), layout.vi, (b, t)),
-                            heads, dh)
-               for w in (block.attn_q, block.attn_k, block.attn_v))
-    scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5), Tensor(bias))
-    attn = ad.softmax(scores, axis=-1)
-    if rng is not None:
-        attn = ad.dropout(attn, p, rng)
-    ctx = ad.take_rows(_merge_heads(ad.matmul(attn, v), b, t, d), layout.vi)
-    return ad.matmul(ctx, block.attn_out.tensor)
-
-
-def _attend_final(block: EncoderBlock, h: Tensor, layout: BatchLayout, heads: int, dh: int,
-                  rng: np.random.Generator | None, p: float) -> Tensor:
-    """Attention output (batch, d) of each row's final query over the
-    packed normed states h (n_real, d), without forming keys or values.
-
-    ad.pooled_attention scores the states at their (batch, t) positions
-    layout.vi with one vector per head, laid out (batch, d, heads), and
-    pools them with the weights; the final query's bias (batch, t, 1)
-    gives padding keys zero weight. Its gradient reaches h at the packed
-    rows only, so padding never enters the attention gradient. The
-    per-head weight products put the heads on the batch axis,
-    (heads, batch, dh) x (heads, dh, d), so each weight gradient is one
-    batched product with nothing to sum over the batch.
-    """
-    last = layout.last
-    b = len(last)
-    d = h.data.shape[-1]
-    bias = layout.attention_bias(h.data.dtype, final=True)
-    q = ad.matmul(ad.take_rows(h, last), block.attn_q.tensor)           # (b, d)
-    q = ad.swapaxes(ad.reshape(q, (b, heads, dh)), 0, 1)                # (H, b, dh)
-    k_t = ad.reshape(ad.swapaxes(block.attn_k.tensor, 0, 1), (heads, dh, d))  # (H, dh, d)
-    r = ad.swapaxes(ad.swapaxes(ad.matmul(q, k_t), 0, 1), 1, 2)         # (b, d, H)
-    pooled = ad.pooled_attention(h, r, layout.vi, bias, dh ** -0.5, p, rng)  # (b, H, d)
-    pooled = ad.swapaxes(pooled, 0, 1)                                  # (H, b, d)
-    v = ad.swapaxes(ad.reshape(block.attn_v.tensor, (d, heads, dh)), 0, 1)  # (H, d, dh)
-    ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, d))
-    return ad.matmul(ctx, block.attn_out.tensor)
 
 
 def encode_batch(branch: BranchParams, table: Tensor, layout: BatchLayout, train: bool = False,
@@ -348,18 +296,8 @@ def encode_batch(branch: BranchParams, table: Tensor, layout: BatchLayout, train
 
 def _head(branch: BranchParams, z: Tensor) -> Tensor:
     """Next-item logits (batch, num_items) from final-position representations."""
-    hidden = ad.gelu(ad.add(ad.matmul(z, branch.head_hidden.tensor),
-                            branch.head_hidden_bias.tensor))
-    return ad.add(ad.matmul(hidden, branch.head_out.tensor), branch.head_out_bias.tensor)
-
-
-def _split_heads(x: Tensor, heads: int, dh: int) -> Tensor:
-    b, t, _ = x.data.shape
-    return ad.swapaxes(ad.reshape(x, (b, t, heads, dh)), 1, 2)
-
-
-def _merge_heads(x: Tensor, b: int, t: int, d: int) -> Tensor:
-    return ad.reshape(ad.swapaxes(x, 1, 2), (b, t, d))
+    return ad.feed_forward(z, branch.head_hidden.tensor, branch.head_hidden_bias.tensor,
+                           branch.head_out.tensor, branch.head_out_bias.tensor)
 
 
 def encode_pair(branch: BranchParams, table: Tensor, layout: BatchLayout, train: bool = False,

@@ -50,9 +50,105 @@ def _loss_of(op, x, *args, **kwargs):
     return f, analytic
 
 
+def _scatter_rows(a, rows, lead):
+    """The rows of a 2-d tensor placed at distinct indices into the
+    flattened leading axes lead, zeros elsewhere: shape lead + (d,). The
+    scatter of the attention chains below; backward takes the rows back out."""
+    a = ad.as_tensor(a)
+    d = a.data.shape[-1]
+    out = np.zeros((int(np.prod(lead)), d), dtype=a.data.dtype)
+    out[rows] = a.data
+    return ad._record(ad.Tensor(out.reshape(tuple(lead) + (d,))), (a,),
+                      lambda g: (g.reshape(-1, d)[rows],))
+
+
+def _feed_forward_chain(x, w_in, b_in, w_out, b_out, p, rng):
+    """The chain of ops that feed_forward replaces."""
+    f = ad.gelu(ad.add(ad.matmul(x, w_in), b_in))
+    if rng is not None:
+        f = ad.dropout(f, p, rng)
+    return ad.add(ad.matmul(f, w_out), b_out)
+
+
+def _self_attention_chain(h, wq, wk, wv, wo, rows, bias, heads, scale, p, rng):
+    """The chain of ops that self_attention replaces, as the encoder's
+    earlier blocks ran it."""
+    b, t = bias.shape[0], bias.shape[-1]
+    d = h.data.shape[-1]
+    dh = d // heads
+    q, k, v = (ad.swapaxes(ad.reshape(_scatter_rows(ad.matmul(h, w), rows, (b, t)),
+                                      (b, t, heads, dh)), 1, 2)
+               for w in (wq, wk, wv))
+    scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale), ad.Tensor(bias))
+    attn = ad.softmax(scores, axis=-1)
+    if rng is not None:
+        attn = ad.dropout(attn, p, rng)
+    ctx = ad.take_rows(ad.reshape(ad.swapaxes(ad.matmul(attn, v), 1, 2), (b, t, d)), rows)
+    return ad.matmul(ctx, wo)
+
+
+def _pooled_attention_chain(h, r, rows, bias, scale, p, rng):
+    """Final-query attention scores and pooling of packed states h with one
+    query vector per head, r (b, d, heads): pooled states (b, heads, d)."""
+    b, t = bias.shape[:2]
+    hs = _scatter_rows(h, rows, (b, t))
+    scores = ad.add(ad.scale(ad.matmul(hs, r), scale), ad.Tensor(bias))
+    attn = ad.swapaxes(ad.softmax(scores, axis=1), 1, 2)
+    if rng is not None:
+        attn = ad.dropout(attn, p, rng)
+    return ad.matmul(attn, hs)
+
+
+def _final_attention_chain(h, wq, wk, wv, wo, rows, last, bias, heads, scale, p, rng):
+    """The chain of ops that final_attention replaces, as the encoder's
+    last block ran it."""
+    b = len(last)
+    d = h.data.shape[-1]
+    dh = d // heads
+    q = ad.matmul(ad.take_rows(h, last), wq)
+    q = ad.swapaxes(ad.reshape(q, (b, heads, dh)), 0, 1)
+    k_t = ad.reshape(ad.swapaxes(wk, 0, 1), (heads, dh, d))
+    r = ad.swapaxes(ad.swapaxes(ad.matmul(q, k_t), 0, 1), 1, 2)
+    pooled = ad.swapaxes(_pooled_attention_chain(h, r, rows, bias, scale, p, rng), 0, 1)
+    v = ad.swapaxes(ad.reshape(wv, (d, heads, dh)), 0, 1)
+    ctx = ad.reshape(ad.swapaxes(ad.matmul(pooled, v), 0, 1), (b, d))
+    return ad.matmul(ctx, wo)
+
+
 # three sequences of 1, 6 and 3 real positions in a (3, 6) layout
 _REAL = np.arange(6)[None, :] >= np.array([[5], [0], [3]])
 _ROWS, _BIAS = np.flatnonzero(_REAL), np.where(_REAL, 0.0, -1e9)[:, :, None]
+_LAST = np.cumsum(_REAL.sum(axis=1)) - 1
+_CAUSAL_BIAS = np.where(np.tril(np.ones((6, 6), dtype=bool))[None] & _REAL[:, None, :],
+                        0.0, -1e9)[:, None]
+
+
+def _constants(*shapes):
+    return [ad.Tensor(np.linspace(-1, 1, math.prod(s)).reshape(s) * (1 + 0.1 * i))
+            for i, s in enumerate(shapes)]
+
+
+def _with(op, slot, shapes, *args):
+    """op as a function of one tensor t: t at input slot, fixed constants
+    at its other differentiable inputs."""
+    def f(t):
+        inputs = _constants(*shapes)
+        inputs[slot] = t
+        return op(*inputs, *args)
+    return f
+
+
+_FF = (ad.feed_forward, ((3, 4), (4, 5), (5,), (5, 4), (4,)), ())
+_SA = (ad.self_attention, ((10, 4), (4, 4), (4, 4), (4, 4), (4, 4)),
+       (_ROWS, _CAUSAL_BIAS, 2, 0.7))
+_FA = (ad.final_attention, ((10, 4), (4, 4), (4, 4), (4, 4), (4, 4)),
+       (_ROWS, _LAST, _BIAS, 2, 0.7))
+_LAYER_CASES = [(f"{name}_{arg}", _with(op, slot, shapes, *args), shapes[slot])
+                for name, (op, shapes, args), names in [
+                    ("feed_forward", _FF, ("x", "w_in", "b_in", "w_out", "b_out")),
+                    ("self_attention", _SA, ("h", "wq", "wk", "wv", "wo")),
+                    ("final_attention", _FA, ("h", "wq", "wk", "wv", "wo"))]
+                for slot, arg in enumerate(names)]
 
 OP_CASES = [
     ("add_broadcast", lambda t: ad.add(t, ad.Tensor(np.linspace(-1, 1, 4))), (3, 4)),
@@ -75,14 +171,18 @@ OP_CASES = [
     ("gather", lambda t: ad.gather_rows(t, np.array([[0, 2], [2, 2]])), (3, 4)),
     ("take_along", lambda t: ad.take_along_last(t, np.array([1, 3, 0])), (3, 4)),
     ("take_rows", lambda t: ad.take_rows(t, np.array([4, 0, 3])), (2, 3, 4)),
-    ("scatter_rows", lambda t: ad.scatter_rows(t, np.array([5, 1, 2]), (2, 3)), (3, 4)),
-    ("pooled_attention_h", lambda t: ad.pooled_attention(
-        t, ad.Tensor(np.linspace(-1, 1, 24).reshape(3, 4, 2)), _ROWS, _BIAS, 0.7), (10, 4)),
-    ("pooled_attention_r", lambda t: ad.pooled_attention(
-        ad.Tensor(np.linspace(-1, 1, 40).reshape(10, 4)), t, _ROWS, _BIAS, 0.7), (3, 4, 2)),
+    # the attention chains' scatter and final-query pooling, which the
+    # layer-level ops are compared with bit for bit
+    ("scatter_rows", lambda t: _scatter_rows(t, np.array([5, 1, 2]), (2, 3)), (3, 4)),
+    ("pooled_attention_h", lambda t: _pooled_attention_chain(
+        t, ad.Tensor(np.linspace(-1, 1, 24).reshape(3, 4, 2)), _ROWS, _BIAS, 0.7, 0.0, None),
+     (10, 4)),
+    ("pooled_attention_r", lambda t: _pooled_attention_chain(
+        ad.Tensor(np.linspace(-1, 1, 40).reshape(10, 4)), t, _ROWS, _BIAS, 0.7, 0.0, None),
+     (3, 4, 2)),
     ("sparse_matmul", lambda t: ad.sparse_matmul(
         sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])), t), (3, 4)),
-]
+] + _LAYER_CASES
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -236,56 +336,92 @@ class TestGatherRows:
         assert np.array_equal(first, want) and np.array_equal(second, want)
 
 
-def _unfused_pooled_attention(h, r, rows, bias, scale, p, rng):
-    """The chain of ops that pooled_attention replaces, as the encoder's
-    final-query attention ran it."""
-    b, t = bias.shape[:2]
-    hs = ad.scatter_rows(h, rows, (b, t))
-    scores = ad.add(ad.scale(ad.matmul(hs, r), scale), ad.Tensor(bias))
-    attn = ad.swapaxes(ad.softmax(scores, axis=1), 1, 2)
-    if rng is not None:
-        attn = ad.dropout(attn, p, rng)
-    return ad.matmul(attn, hs)
+def _layout(t, extra):
+    """Packed rows, final rows and the all-position and final-query biases
+    of sequences of lengths 1, t and extra in a (b, t) layout."""
+    lengths = np.array([1, t] + extra)
+    real = np.arange(t)[None, :] >= (t - lengths)[:, None]
+    causal = np.tril(np.ones((t, t), dtype=bool))[None] & real[:, None, :]
+    return (np.flatnonzero(real), np.cumsum(lengths) - 1,
+            np.where(causal, 0.0, -1e9)[:, None], np.where(real, 0.0, -1e9)[:, :, None])
 
 
-class TestPooledAttention:
+def _assert_bit_identical(op, chain, shapes, trainable, dtype, seed, args):
+    """Values, every input's gradient (None where frozen) and the rng state
+    after one forward and backward pass of op and of the chain it replaces."""
+    data_rng = np.random.default_rng(seed)
+    inputs = [data_rng.standard_normal(s).astype(dtype) for s in shapes]
+
+    def run(fn):
+        tensors = [ad.Tensor(x.copy(), requires_grad=flag) for x, flag in zip(inputs, trainable)]
+        rng = np.random.default_rng(seed + 1)
+        with ad.Tape() as tape:
+            out = fn(*tensors, *args, rng)
+            probe = np.random.default_rng(seed + 2).standard_normal(out.data.shape)
+            ad.backward(ad.tsum(ad.mul(out, ad.Tensor(probe.astype(dtype)))), tape)
+        return out.data, [x.grad for x in tensors], rng.bit_generator.state
+
+    (got, got_grads, got_state), (want, want_grads, want_state) = run(op), run(chain)
+    assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+    for flag, g, w in zip(trainable, got_grads, want_grads):
+        assert (g is None) == (w is None) == (not flag)
+        assert g is None or (g.dtype == w.dtype and np.array_equal(g, w))
+    assert got_state == want_state
+
+
+_LAYER_GIVEN = dict(seed=st.integers(0, 2**32 - 3), p=st.sampled_from([0.0, 0.3]),
+                    dtype=st.sampled_from([np.float32, np.float64]),
+                    trainable=st.lists(st.booleans(), min_size=5, max_size=5).filter(any))
+
+
+class TestFeedForward:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 6), d=st.integers(1, 4), f=st.integers(1, 6), **_LAYER_GIVEN)
+    def test_bit_identical_to_the_chain(self, rows, d, f, seed, dtype, p, trainable):
+        """One row is the head's batch of one, whose weight gradients
+        contract a dimension of 1."""
+        _assert_bit_identical(ad.feed_forward, _feed_forward_chain,
+                              [(rows, d), (d, f), (f,), (f, d), (d,)], trainable, dtype, seed,
+                              (p,))
+
+    def test_values_match_the_formula(self):
+        """gelu(x w_in + b_in) w_out + b_out, checked apart from the chain."""
+        x, w_in, b_in, w_out, b_out = _constants((2, 3), (3, 4), (4,), (4, 5), (5,))
+        out = ad.feed_forward(x, w_in, b_in, w_out, b_out)
+        pre = x.data @ w_in.data + b_in.data
+        hidden = pre / (1.0 + np.exp(-1.702 * pre))
+        np.testing.assert_allclose(out.data, hidden @ w_out.data + b_out.data, rtol=1e-12)
+
+
+class TestSelfAttention:
     T = 6
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 4),
-           dtype=st.sampled_from([np.float32, np.float64]), p=st.sampled_from([0.0, 0.3]),
-           extra=st.lists(st.integers(1, T), max_size=4))
-    def test_bit_identical_to_the_unfused_chain(self, seed, heads, dtype, p, extra):
-        """Forward values, the gradients of h and r, and the rng state after
-        the pass; every batch has a one-item row and a full-length row, and
-        r is a strided view as in the encoder."""
-        t, d = self.T, 5
-        lengths = np.array([1, t] + extra)
-        b = len(lengths)
-        real = np.arange(t)[None, :] >= (t - lengths)[:, None]
-        rows = np.flatnonzero(real)
-        bias = np.where(real, 0.0, -1e9).astype(dtype)[:, :, None]
-        data_rng = np.random.default_rng(seed)
-        h_data = data_rng.standard_normal((len(rows), d)).astype(dtype)
-        r_data = data_rng.standard_normal((heads, b, d)).astype(dtype)
-        probe = data_rng.standard_normal((heads, b, d)).astype(dtype)
+    @given(heads=st.integers(1, 4), dh=st.integers(1, 3),
+           extra=st.lists(st.integers(1, T), max_size=4), **_LAYER_GIVEN)
+    def test_bit_identical_to_the_chain(self, heads, dh, extra, seed, dtype, p, trainable):
+        """Every batch has a one-item row and a full-length row."""
+        rows, _, bias, _ = _layout(self.T, extra)
+        d = heads * dh
+        _assert_bit_identical(ad.self_attention, _self_attention_chain,
+                              [(len(rows), d)] + [(d, d)] * 4, trainable, dtype, seed,
+                              (rows, bias.astype(dtype), heads, dh ** -0.5, p))
 
-        def run(op):
-            h = ad.Tensor(h_data.copy(), requires_grad=True)
-            r0 = ad.Tensor(r_data.copy(), requires_grad=True)
-            rng = np.random.default_rng(seed + 1)
-            with ad.Tape() as tape:
-                r = ad.swapaxes(ad.swapaxes(r0, 0, 1), 1, 2)          # (b, d, heads)
-                out = op(h, r, rows, bias, 0.5, p, rng)
-                ad.backward(ad.tsum(ad.mul(ad.swapaxes(out, 0, 1), ad.Tensor(probe))), tape)
-            return out.data, h.grad, r0.grad, rng.bit_generator.state
 
-        fused, unfused = run(ad.pooled_attention), run(_unfused_pooled_attention)
-        assert fused[0].dtype == dtype and fused[0].shape == (b, heads, d)
-        for got, want in zip(fused[:3], unfused[:3]):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-        assert fused[3] == unfused[3]
+class TestFinalAttention:
+    T = 6
+
+    @settings(max_examples=80, deadline=None)
+    @given(heads=st.integers(1, 4), dh=st.integers(1, 3),
+           extra=st.lists(st.integers(1, T), max_size=4), **_LAYER_GIVEN)
+    def test_bit_identical_to_the_chain(self, heads, dh, extra, seed, dtype, p, trainable):
+        """Every batch has a one-item row and a full-length row; h is read
+        twice, by the final rows' queries and by the pooling."""
+        rows, last, _, bias = _layout(self.T, extra)
+        d = heads * dh
+        _assert_bit_identical(ad.final_attention, _final_attention_chain,
+                              [(len(rows), d)] + [(d, d)] * 4, trainable, dtype, seed,
+                              (rows, last, bias.astype(dtype), heads, dh ** -0.5, p))
 
 
 class TestSoftmax:

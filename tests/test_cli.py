@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from fedmoe.checkpoint import ExpertCheckpoint
+from fedmoe import federation
 from fedmoe.cli import main
 from fedmoe.config import RunConfig
 
@@ -81,6 +82,46 @@ def test_eval_reads_a_run_directory_of_an_earlier_release(data_dir, tmp_path, ca
     path.write_text(json.dumps({**saved, "moe_grad_to_experts": True}))
     assert main(["eval", str(run_dir), "--split", "test"]) == 2
     assert "moe_grad_to_experts is retired" in capsys.readouterr().err
+
+
+def test_float64_states_reload_bit_for_bit(data_dir, tmp_path, monkeypatch, capsys):
+    """A float64 run's saved states load into eval's clients as the exact
+    snapshot_parameters() of the clients it trained, at float64."""
+    trained, evaluated = [], []
+    run, evaluate_all = federation.run, federation.evaluate_all
+    monkeypatch.setattr("fedmoe.federation.run",
+                        lambda *a, **kw: trained.append(run(*a, **kw)) or trained[-1])
+    run_dir = tmp_path / "run"
+    assert main(["train", "--scenario", str(data_dir / "scenario.json"),
+                 "--out-dir", str(run_dir), "--precision", "float64"] + FAST) == 0
+    monkeypatch.setattr("fedmoe.federation.evaluate_all",
+                        lambda clients, *a: evaluated.extend(clients) or evaluate_all(clients, *a))
+    assert main(["eval", str(run_dir), "--split", "test"]) == 0
+    assert [c.domain_id for c in evaluated] == [c.domain_id for c in trained[0].clients]
+    for want_client, got_client in zip(trained[0].clients, evaluated):
+        want, got = want_client.snapshot_parameters(), got_client.snapshot_parameters()
+        assert sorted(got) == sorted(want)
+        for name, array in want.items():
+            assert array.dtype == got[name].dtype == np.float64, name
+            assert array.tobytes() == got[name].tobytes(), name
+
+
+@pytest.mark.parametrize("content", [b"", b"not a zip archive", b"PK\x03\x04truncated"])
+def test_eval_rejects_an_unreadable_state_before_scoring(data_dir, tmp_path, monkeypatch,
+                                                         capsys, content):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--scenario", str(data_dir / "scenario.json"),
+                 "--out-dir", str(run_dir)] + FAST) == 0
+    path = run_dir / "states" / "d1.state.npz"
+    path.write_bytes(content)
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("eval scored a client although a state is unreadable")
+
+    monkeypatch.setattr("fedmoe.federation.evaluate_all", no_scoring)
+    capsys.readouterr()
+    assert main(["eval", str(run_dir), "--split", "test"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: unreadable state: ")
 
 
 def test_inspect_checkpoint_round_trip(data_dir, tmp_path, capsys):
@@ -210,18 +251,19 @@ class TestErrorPaths:
         run_dir = tmp_path / "run"
         assert main(["train", "--scenario", str(data_dir / "scenario.json"),
                      "--out-dir", str(run_dir)] + FAST) == 0
-        path = run_dir / "states" / "d1.state.ckpt"
-        entries = ExpertCheckpoint.load(path).entries
+        path = run_dir / "states" / "d1.state.npz"
+        with np.load(path) as npz:
+            entries = {name: npz[name] for name in npz.files}
 
         def no_scoring(*args, **kwargs):
             raise AssertionError("eval scored a client before every state was loaded")
 
         monkeypatch.setattr("fedmoe.federation.evaluate_all", no_scoring)
-        short_bias = [(n, a[:-1] if n == "local.head.out_bias" else a) for n, a in entries]
-        no_gate_out = [(n, a) for n, a in entries if n != "gate.out"]
+        short_bias = {n: a[:-1] if n == "local.head.out_bias" else a for n, a in entries.items()}
+        no_gate_out = {n: a for n, a in entries.items() if n != "gate.out"}
         for edited, message in [(short_bias, "state entry 'local.head.out_bias' has shape"),
                                 (no_gate_out, "state has no entry 'gate.out'")]:
-            ExpertCheckpoint(edited).save(path)
+            np.savez(path, **edited)
             capsys.readouterr()
             assert main(["eval", str(run_dir), "--split", "test"]) == 2
             err = capsys.readouterr().err
@@ -238,7 +280,7 @@ class TestErrorPaths:
                                         "users_per_domain": 80, "seed": 5}))
             data_source = ["--synthetic", str(spec)]
         assert main(["train", *data_source, "--out-dir", str(run_dir)] + FAST) == 0
-        path = run_dir / "states" / "d1.state.ckpt"
+        path = run_dir / "states" / "d1.state.npz"
         path.unlink()
 
         def no_scenario(*args, **kwargs):

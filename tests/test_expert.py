@@ -385,16 +385,25 @@ def _dense_forward_states(branch, norm_adjacency, prefixes, train=False, rng=Non
     return ad.reshape(x, (b, cfg.width)) if final_only else x
 
 
+def _split_heads(x, heads, dh):
+    b, t, _ = x.data.shape
+    return ad.swapaxes(ad.reshape(x, (b, t, heads, dh)), 1, 2)
+
+
+def _merge_heads(x, b, t, d):
+    return ad.reshape(ad.swapaxes(x, 1, 2), (b, t, d))
+
+
 def _dense_attend_all(block, h, bias, heads, dh, rng, p):
     b, t, d = h.data.shape
-    q = expert._split_heads(ad.matmul(h, block.attn_q.tensor), heads, dh)
-    k = expert._split_heads(ad.matmul(h, block.attn_k.tensor), heads, dh)
-    v = expert._split_heads(ad.matmul(h, block.attn_v.tensor), heads, dh)
+    q = _split_heads(ad.matmul(h, block.attn_q.tensor), heads, dh)
+    k = _split_heads(ad.matmul(h, block.attn_k.tensor), heads, dh)
+    v = _split_heads(ad.matmul(h, block.attn_v.tensor), heads, dh)
     scores = ad.add(ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), dh ** -0.5), bias)
     attn = ad.softmax(scores, axis=-1)
     if rng is not None:
         attn = ad.dropout(attn, p, rng)
-    ctx = expert._merge_heads(ad.matmul(attn, v), b, t, d)
+    ctx = _merge_heads(ad.matmul(attn, v), b, t, d)
     return ad.matmul(ctx, block.attn_out.tensor)
 
 
@@ -571,6 +580,11 @@ class TestContrastiveLoss:
         assert gradient_close(t.grad, central_difference(f, z0), rel_tol=1e-6)
 
 
+def _adapter_parameters(branch):
+    """Everything of a branch except its encoder: the domain-side isolation set."""
+    return [p for p in branch.parameters() if p not in branch.encoder.parameters()]
+
+
 class TestFreezeContract:
     def test_frozen_encoder_unchanged_while_adapters_move(self):
         rng = np.random.default_rng(17)
@@ -579,7 +593,7 @@ class TestFreezeContract:
         adj = build_adjacency([[1, 2, 3]], 10)
         opt = Adam(branch.parameters(), lr=0.01)
         enc_before = {p.name: p.data.tobytes() for p in branch.encoder.parameters()}
-        adapters_before = {p.name: p.data.tobytes() for p in branch.adapter_parameters()}
+        adapters_before = {p.name: p.data.tobytes() for p in _adapter_parameters(branch)}
 
         prefixes = np.stack([padded([1, 2], 6), padded([3, 1], 6)])
         targets = np.array([3, 2])
@@ -592,7 +606,7 @@ class TestFreezeContract:
 
         for p in branch.encoder.parameters():
             assert p.data.tobytes() == enc_before[p.name]
-        moved = [p.name for p in branch.adapter_parameters()
+        moved = [p.name for p in _adapter_parameters(branch)
                  if p.data.tobytes() != adapters_before[p.name]]
         assert "item_embeddings" in moved and any("head" in m for m in moved)
 
@@ -619,7 +633,7 @@ def test_encoder_parameter_names_unique_and_stable():
     names = [p.name for p in branch.parameters()]
     assert len(names) == len(set(names))
     enc_names = {p.name for p in branch.encoder.parameters()}
-    other = {p.name for p in branch.adapter_parameters()}
+    other = {p.name for p in _adapter_parameters(branch)}
     assert not (enc_names & other)
     for banned in ("embed", "position", "head", "gate"):
         assert not any(banned in n for n in enc_names)

@@ -26,7 +26,7 @@ RETIRED = {"_local_branch_losses"}
 
 # tape ops the tracer does not wrap, so their time counts toward the
 # span of their caller; any other tape op must be in the tracer's ALL_OPS
-UNTRACED_OPS = {"mix", "take_rows", "scatter_rows", "pooled_attention"}
+UNTRACED_OPS = {"mix", "take_rows", "feed_forward", "self_attention", "final_attention"}
 
 
 def _load(name):

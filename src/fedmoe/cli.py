@@ -229,13 +229,23 @@ ABLATIONS = {"gate": "no_gate", "freeze": "no_freeze", "drop": "drop_expert",
              "local": "local_only", "fedavg": "fedavg"}
 
 
+def _quality_grid(value: str | None) -> list[int]:
+    """The phase-1 epoch counts of --quality-grid, each an integer >= 0."""
+    epochs = []
+    for item in value.split(",") if value else []:
+        if not item.strip().isdecimal():
+            raise ConfigError(f"--quality-grid entry {item!r} is not an integer >= 0")
+        epochs.append(int(item))
+    return epochs
+
+
 def cmd_ablate(args: argparse.Namespace) -> int:
     grid = [g.strip() for g in args.grid.split(",") if g.strip()] if args.grid else []
     unknown = [item for item in grid if item not in ABLATIONS]
     if unknown:
         raise ConfigError(f"unknown ablation {unknown[0]!r}; "
                           f"expected {', '.join(ABLATIONS)}")
-    quality = [int(x) for x in args.quality_grid.split(",")] if args.quality_grid else []
+    quality = _quality_grid(args.quality_grid)
     cfg = _build_config(args)
     scenario = _load_scenario_from_config(cfg)
     out_dir = _resolve_out_dir(cfg, "ablate")

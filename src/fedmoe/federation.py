@@ -19,6 +19,18 @@ once per branch. A training step builds each branch's table on the tape;
 evaluation builds them once per split. ``ClientState.mixture_weights`` is
 the one place that picks the gate or uniform weights.
 
+A training step holds one branch's activations at a time. Each branch, in
+``ClientState.branches`` order, records its next-item and contrastive
+losses on a tape of its own and runs backward on it before the next
+branch starts; only its z and target probabilities outlive its tape. The
+fusion loss then runs on a small gate tape; with uniform weights it
+records nothing and gets no backward. The gradients, losses and random
+draws are those of one backward over one tape of the whole total, bit
+for bit: no parameter is shared between branches, the fusion loss reads
+the probabilities as constants and the gate reads z behind a
+stop-gradient, and dropout draws only in forward passes, which run in
+the same order.
+
 Variants: local-only training, FedAvg with a single shared encoder,
 uniform (no-gate) fusion, unfrozen global encoders, expert removal, and
 a two-phase schedule with exactly one synchronization. Every mode runs
@@ -204,16 +216,47 @@ def build_client(scenario: ScenarioSpec, domain_id: str, cfg: RunConfig) -> Clie
 # ---------------------------------------------------------------------------
 
 
+def _branch_step(client: ClientState, branch: BranchParams, layout: BatchLayout,
+                 targets: np.ndarray, rng: np.random.Generator | None, mixed: bool
+                 ) -> tuple[np.ndarray, float, float, np.ndarray, np.ndarray | None]:
+    """One branch's weighted next-item plus contrastive term, back-propagated
+    on a tape of its own. Returns the term's value, its two losses, the
+    batch's z and, for a mixed client, each row's target probability, all
+    as arrays, so the branch's tape and activations die on return."""
+    cfg = client.cfg
+    with Tape() as tape:
+        table = lookup_table(branch, client.dataset.adjacency)
+        z, z_aug, logits = encode_pair(branch, table, layout, train=True, rng=rng)
+        if mixed:
+            rec, prob = rec_loss(logits, targets, return_prob=True)
+        else:
+            rec, prob = rec_loss(logits, targets), None
+        con = contrastive_loss(z, z_aug, cfg.temperature)
+        term = ad.add(ad.scale(rec, cfg.rec_weight), ad.scale(con, cfg.con_weight))
+    backward(term, tape)
+    return term.data, float(rec.data), float(con.data), z.data, prob
+
+
 def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.ndarray,
                   targets: np.ndarray, rng: np.random.Generator | None,
-                  local_only: bool = False) -> tuple[Tensor, dict[str, float]]:
-    """Weighted total of every branch objective plus the fusion objective.
+                  local_only: bool = False) -> tuple[float, dict[str, float]]:
+    """Back-propagate every branch objective and the fusion objective of one
+    batch into the parameters' gradients; return the weighted total and its
+    components.
 
     Components: next-item and contrastive losses for the local branch and
     each global branch, then the gated-mixture loss (2D + 1 terms for D
     visible experts). With local_only, or with no global branches, the
     local branch trains alone and nothing is fused. The batch's layout is
     built once, before any branch computes, and shared by every branch.
+
+    Each branch runs forward and backward on its own tape, in branch order,
+    before the next one starts, and hands on only its z and target
+    probabilities; the fusion loss then runs on a gate tape of its own. The
+    gradients are those of one backward over one tape of the whole total:
+    no parameter is shared between branches, the fusion loss reads the
+    probabilities as constants and the gate reads z behind a stop-gradient,
+    and dropout draws only in forward passes, in the same branch order.
     """
     cfg = client.cfg
     branches = {"local": client.local} if local_only else client.branches()
@@ -224,26 +267,24 @@ def client_losses(client: ClientState, prefixes: np.ndarray, aug_prefixes: np.nd
     layout = pair_layout(prefixes, aug_prefixes)
 
     for tag, branch in branches.items():
-        table = lookup_table(branch, client.dataset.adjacency)
-        z, z_aug, logits = encode_pair(branch, table, layout, train=True, rng=rng)
+        term, rec, con, z, prob = _branch_step(client, branch, layout, targets, rng, mixed)
+        components[f"rec:{tag}"] = rec
+        components[f"con:{tag}"] = con
+        total = term if total is None else total + term
         if mixed:
-            rec, prob = rec_loss(logits, targets, return_prob=True)
-            z_list.append(z)
+            z_list.append(Tensor(z))
             target_probs.append(prob)
-        else:
-            rec = rec_loss(logits, targets)
-        con = contrastive_loss(z, z_aug, cfg.temperature)
-        components[f"rec:{tag}"] = float(rec.data)
-        components[f"con:{tag}"] = float(con.data)
-        term = ad.add(ad.scale(rec, cfg.rec_weight), ad.scale(con, cfg.con_weight))
-        total = term if total is None else ad.add(total, term)
 
     if mixed:
-        fused = moe_loss(client.mixture_weights(z_list), np.stack(target_probs, axis=1))
+        with Tape() as tape:
+            fused = moe_loss(client.mixture_weights(z_list), np.stack(target_probs, axis=1))
+            weighted = ad.scale(fused, cfg.moe_weight)
         components["moe"] = float(fused.data)
-        total = ad.add(total, ad.scale(fused, cfg.moe_weight))
+        if client.gate is not None:  # uniform weights leave nothing to train
+            backward(weighted, tape)
+        total = total + weighted.data
 
-    return total, components
+    return float(total), components
 
 
 def client_update(client: ClientState, snapshot: dict[str, ExpertCheckpoint] | None,
@@ -269,12 +310,10 @@ def client_update(client: ClientState, snapshot: dict[str, ExpertCheckpoint] | N
             batch = prefixes[idx]
             aug = augment_batch(batch, cfg.shuffle_ratio, rng)
             client.optimizer.zero_grad()
-            with Tape() as tape:
-                total, components = client_losses(client, batch, aug, targets[idx], rng,
-                                                  local_only=local_only)
-                backward(total, tape)
+            total, components = client_losses(client, batch, aug, targets[idx], rng,
+                                              local_only=local_only)
             # checked before the step so a bad batch leaves the parameters intact
-            if not np.isfinite(total.data):
+            if not np.isfinite(total):
                 raise FloatingPointError(
                     f"non-finite loss in domain {client.domain_id}: {components}")
             client.optimizer.step()

@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from fedmoe import data, expert
+from fedmoe import autodiff as ad
+from fedmoe import data, expert, moe
 
 
 def encode_prefixes(branch, adj, prefixes, train=False, rng=None):
@@ -14,6 +15,43 @@ def encode_prefixes(branch, adj, prefixes, train=False, rng=None):
     then the branch's lookup table."""
     layout = expert.BatchLayout(prefixes)
     return expert.encode_batch(branch, expert.lookup_table(branch, adj), layout, train, rng)
+
+
+def single_tape_step(client, prefixes, aug_prefixes, targets, rng, local_only=False):
+    """The training step recorded on one tape: every branch's next-item and
+    contrastive terms, then the fusion loss, summed into one total that is
+    back-propagated once. Returns the total tensor and its components, as
+    ``federation.client_losses`` reports them."""
+    cfg = client.cfg
+    branches = {"local": client.local} if local_only else client.branches()
+    mixed = len(branches) > 1
+    z_list, target_probs = [], []
+    total = None
+    components = {}
+    with ad.Tape() as tape:
+        layout = expert.pair_layout(prefixes, aug_prefixes)
+        for tag, branch in branches.items():
+            table = expert.lookup_table(branch, client.dataset.adjacency)
+            z, z_aug, logits = expert.encode_pair(branch, table, layout, train=True, rng=rng)
+            if mixed:
+                rec, prob = expert.rec_loss(logits, targets, return_prob=True)
+                z_list.append(z)
+                target_probs.append(prob)
+            else:
+                rec = expert.rec_loss(logits, targets)
+            con = expert.contrastive_loss(z, z_aug, cfg.temperature)
+            components[f"rec:{tag}"] = float(rec.data)
+            components[f"con:{tag}"] = float(con.data)
+            term = ad.add(ad.scale(rec, cfg.rec_weight), ad.scale(con, cfg.con_weight))
+            total = term if total is None else ad.add(total, term)
+        if mixed:
+            weights = (moe.gate_forward(z_list, client.gate) if client.gate is not None
+                       else moe.uniform_gate_weights(len(prefixes), len(z_list)))
+            fused = moe.moe_loss(weights, np.stack(target_probs, axis=1))
+            components["moe"] = float(fused.data)
+            total = ad.add(total, ad.scale(fused, cfg.moe_weight))
+        ad.backward(total, tape)
+    return total, components
 
 
 def build_adjacency(runs: list[list[int]], num_items: int) -> sp.csr_matrix:

@@ -227,6 +227,21 @@ class TestErrorPaths:
         assert not (tmp_path / "runs").exists()
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, entry", [("1,x", "'x'"), ("-1", "'-1'"), ("0,2.5", "'2.5'"),
+                                             ("1,,2", "''")])
+    def test_bad_quality_grid_rejected_before_training(self, data_dir, tmp_path, monkeypatch,
+                                                        capsys, grid, entry):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained before checking --quality-grid")
+
+        monkeypatch.setattr("fedmoe.federation.run", no_training)
+        monkeypatch.setenv("FEDMOE_OUTDIR", str(tmp_path / "runs"))
+        assert main(["ablate", "--scenario", str(data_dir / "scenario.json"),
+                     f"--quality-grid={grid}"] + FAST) == 2
+        assert not (tmp_path / "runs").exists()
+        err = capsys.readouterr().err
+        assert f"--quality-grid entry {entry} is not an integer >= 0" in err
+
     @pytest.mark.parametrize("edit, message", [({"rounds": 0}, "rounds must be >= 1"),
                                                ({"mode": "bogus"}, "unknown mode")],
                              ids=["rounds-0", "unknown-mode"])

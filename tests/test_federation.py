@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from fedmoe.checkpoint import ExpertCheckpoint
 from fedmoe.config import RunConfig
 from fedmoe.errors import ConfigError, EmptyDatasetError
 
-from helpers import encode_prefixes
+from helpers import encode_prefixes, single_tape_step
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,21 @@ def small_config(**overrides):
                 gnn_depth=1, dropout=0.1, seed=7)
     base.update(overrides)
     return RunConfig(**base)
+
+
+class _WeakTape(ad.Tape):
+    __slots__ = ("__weakref__",)
+
+
+def _record_tapes(monkeypatch, keep):
+    """Make every tape federation opens a weak-referenceable one, and hand
+    each to keep as it is made."""
+    def make():
+        tape = _WeakTape()
+        keep(tape)
+        return tape
+
+    monkeypatch.setattr(federation, "Tape", make)
 
 
 class TestClientBuild:
@@ -163,31 +179,32 @@ class TestClientUpdate:
         rng = np.random.default_rng(0)
         batch = prefixes[:32]
         aug = data.augment_batch(batch, cfg.shuffle_ratio, rng)
-        from fedmoe.autodiff import Tape
-        with Tape():
-            total, components = federation.client_losses(client, batch, aug,
-                                                         targets[:32], rng)
+        total, components = federation.client_losses(client, batch, aug, targets[:32], rng)
         assert len(components) == 7  # 2 per expert branch + fusion, D=3
-        assert np.isfinite(total.data)
-        assert float(total.data) == pytest.approx(sum(components.values()), rel=1e-5)
+        assert np.isfinite(total)
+        assert total == pytest.approx(sum(components.values()), rel=1e-5)
 
     @pytest.mark.parametrize("mode, local_only", [("fedavg", False), ("local_only", False),
                                                   ("two_phase", True)])
-    def test_one_branch_losses_record_no_dead_tape_node(self, scenario, mode, local_only):
+    def test_one_branch_losses_record_no_dead_tape_node(self, scenario, monkeypatch, mode,
+                                                        local_only):
         """fedavg, local_only and two-phase pretraining train the local branch
-        alone: every op on the tape feeds the loss, so each gets a gradient."""
+        alone: every op on its tape feeds the loss, so each gets a gradient."""
         client = federation.build_client(scenario, "d0", small_config(mode=mode))
         prefixes, targets = client.dataset.train_arrays()
         rng = np.random.default_rng(0)
         batch = prefixes[:32]
         aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
-        with ad.Tape() as tape:
-            total, components = federation.client_losses(client, batch, aug, targets[:32],
-                                                         rng, local_only=local_only)
-            ad.backward(total, tape)
+        tapes = []
+        _record_tapes(monkeypatch, tapes.append)
+        total, components = federation.client_losses(client, batch, aug, targets[:32],
+                                                     rng, local_only=local_only)
         assert sorted(components) == ["con:local", "rec:local"]
-        dead = [i for i, node in enumerate(tape.nodes) if node.out.grad is None]
-        assert tape.nodes and not dead, f"{len(dead)} of {len(tape.nodes)} nodes have no gradient"
+        assert len(tapes) == 1
+        for tape in tapes:
+            dead = [i for i, node in enumerate(tape.nodes) if node.out.grad is None]
+            assert tape.nodes and not dead, \
+                f"{len(dead)} of {len(tape.nodes)} nodes have no gradient"
 
     @pytest.mark.parametrize("bad, message", [("empty", r"no items \(row 3\)"),
                                               ("gap", "row 3 is not left-padded")])
@@ -206,7 +223,7 @@ class TestClientUpdate:
             raise AssertionError("a branch computed before the batch was checked")
 
         monkeypatch.setattr(federation, "lookup_table", computed)
-        with ad.Tape(), pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message):
             federation.client_losses(client, batch, aug, targets[:8], rng)
 
     def test_one_layout_per_step_and_per_evaluation_chunk(self, scenario, monkeypatch):
@@ -226,9 +243,7 @@ class TestClientUpdate:
         rng = np.random.default_rng(0)
         batch = prefixes[:8]
         aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
-        with ad.Tape() as tape:
-            total, _ = federation.client_losses(client, batch, aug, targets[:8], rng)
-            ad.backward(total, tape)
+        federation.client_losses(client, batch, aug, targets[:8], rng)
         assert built == [(16, batch.shape[1])]
         built.clear()
         federation.evaluate_client(client, "valid")
@@ -256,7 +271,7 @@ class TestClientUpdate:
 
         def infinite_losses(*args, **kwargs):
             total, components = real_losses(*args, **kwargs)
-            return ad.scale(total, np.inf), components
+            return total * np.inf, components
 
         monkeypatch.setattr(federation, "client_losses", infinite_losses)
         before = [p.data.tobytes() for p in client.all_parameters()]
@@ -288,6 +303,114 @@ class TestClientUpdate:
             federation.client_update(client, None, 0)
         assert [p.data.tobytes() for p in client.all_parameters()] == before
         assert client.optimizer.t == 0
+
+
+# mode, config overrides, local_only
+STEP_CASES = [("fmoe", {}, False), ("no_gate", {}, False), ("no_freeze", {}, False),
+              ("drop_expert", {"drop_domain": "d1"}, False), ("fedavg", {}, False),
+              ("local_only", {}, False), ("two_phase", {}, True)]
+
+
+class TestBranchTapes:
+    """Each branch runs forward and backward on a tape of its own, then the
+    gate on another; the step equals the one-tape step bit for bit."""
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("mode, overrides, local_only", STEP_CASES,
+                             ids=[c[0] for c in STEP_CASES])
+    def test_bit_identical_to_the_single_tape_step(self, scenario, mode, overrides, local_only,
+                                                   precision, blocks):
+        cfg = small_config(mode=mode, precision=precision, blocks=blocks, **overrides)
+        with ad.default_dtype(cfg.dtype):
+            ref, new = (federation.build_client(scenario, "d0", cfg) for _ in range(2))
+            prefixes, targets = ref.dataset.train_arrays()
+            batch, tgt = prefixes[:32], targets[:32]
+            aug = data.augment_batch(batch, cfg.shuffle_ratio, np.random.default_rng(3))
+            ref_rng, new_rng = np.random.default_rng(5), np.random.default_rng(5)
+            ref_total, ref_components = single_tape_step(ref, batch, aug, tgt, ref_rng,
+                                                         local_only=local_only)
+            total, components = federation.client_losses(new, batch, aug, tgt, new_rng,
+                                                         local_only=local_only)
+        assert total == float(ref_total.data)
+        assert components == ref_components
+        assert new_rng.random() == ref_rng.random()
+        grads = 0
+        for (name, p), q in zip(new._named_parameters().items(), ref.all_parameters()):
+            if q.tensor.grad is None:
+                assert p.tensor.grad is None, name
+                continue
+            assert p.tensor.grad.dtype == q.tensor.grad.dtype == cfg.dtype, name
+            assert np.array_equal(p.tensor.grad, q.tensor.grad), name
+            grads += 1
+        assert grads
+
+    @pytest.mark.parametrize("mode, overrides, tapes", [
+        ("fmoe", {}, 4), ("no_gate", {}, 3), ("drop_expert", {"drop_domain": "d1"}, 3),
+        ("fedavg", {}, 1)])
+    def test_one_backward_per_branch_and_gate_tape(self, scenario, monkeypatch, mode,
+                                                   overrides, tapes):
+        """A gate-less client's fusion loss records no node, so it gets no
+        backward call, and the step still trains."""
+        client = federation.build_client(scenario, "d0", small_config(mode=mode, **overrides))
+        real_backward = federation.backward
+        nodes = []
+
+        def counted(loss, tape):
+            nodes.append(len(tape.nodes))
+            real_backward(loss, tape)
+
+        monkeypatch.setattr(federation, "backward", counted)
+        before = client.snapshot_parameters()
+        federation.client_update(client, None, 0)
+        steps = -(-len(client.dataset.train_arrays()[1]) // client.cfg.batch_size)
+        assert len(nodes) == tapes * steps
+        assert all(nodes), "backward ran on an empty tape"
+        after = client.snapshot_parameters()
+        assert any(not np.array_equal(before[n], after[n]) for n in before)
+        if client.gate is not None:
+            assert any(not np.array_equal(before[p.name], after[p.name])
+                       for p in client.gate.parameters())
+
+    def test_no_two_branch_tapes_alive_at_once(self, scenario, monkeypatch):
+        """When a branch starts, and when the gate starts, every earlier tape
+        is gone; of its arrays only the kept z rows and loss value remain."""
+        client = federation.build_client(scenario, "d0", small_config())
+        prefixes, targets = client.dataset.train_arrays()
+        rng = np.random.default_rng(0)
+        batch = prefixes[:32]
+        aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
+        width = client.cfg.width
+        kept = {(), (len(batch), width), (2 * len(batch), width)}
+        tapes, arrays, seen = [], [], []
+        _record_tapes(monkeypatch, lambda tape: tapes.append(weakref.ref(tape)))
+        real_backward = federation.backward
+
+        def remembered(loss, tape):
+            real_backward(loss, tape)
+            found = {id(a): a for node in tape.nodes for a in (node.out.data, node.out.grad)
+                     if isinstance(a, np.ndarray)}
+            arrays.append([weakref.ref(a) for a in found.values()])
+
+        def first_op_of(name, fn):
+            def wrapped(*args, **kwargs):
+                alive = [ref() for refs in arrays for ref in refs if ref() is not None]
+                seen.append((name, [ref() is not None for ref in tapes], len(arrays),
+                             sorted({a.shape for a in alive} - kept)))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(federation, "backward", remembered)
+        monkeypatch.setattr(federation, "lookup_table",
+                            first_op_of("branch", federation.lookup_table))
+        monkeypatch.setattr(federation, "gate_forward",
+                            first_op_of("gate", federation.gate_forward))
+        federation.client_losses(client, batch, aug, targets[:32], rng)
+        assert seen == [("branch", [True], 0, []),
+                        ("branch", [False, True], 1, []),
+                        ("branch", [False, False, True], 2, []),
+                        ("gate", [False, False, False, True], 3, [])]
+        assert len(tapes) == 4 and all(ref() is None for ref in tapes)
 
 
 class TestPrecision:

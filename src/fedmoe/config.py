@@ -126,6 +126,11 @@ class RunConfig:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if not 0.0 < self.learning_rate:
             raise ConfigError("learning_rate must be positive")
+        for name in ("adam_beta1", "adam_beta2"):  # at 1 the bias correction divides by 0
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0.0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if not 0.0 <= self.shuffle_ratio <= 1.0:

@@ -13,10 +13,10 @@ the item ids it drew and makes no token for a dropped item. One builder
 (``build_domain``) takes the arrays from there. It runs the rarity and
 length filter as ``bincount`` passes to a fixed point, numbers the
 surviving items 1..n by first appearance in one ``np.minimum.at`` pass,
-and cuts each split (``Split``, three read-only arrays) by one fancy
-index from a padded item matrix. The adjacency's edges are each training
-target and the item before it, deduplicated by one sort over integer
-codes. Strings are made only for surviving users and items.
+and lays the items out once, in a padded matrix that each split
+(``Split``) indexes. The adjacency's edges are each training target and
+the item before it, deduplicated by one sort over integer codes. Strings
+are made only for surviving users and items.
 
 The synthetic generator draws each domain from its own generator, in
 arrays: every user's length, start cluster and chain uniforms at once,
@@ -49,33 +49,42 @@ class DataConfig:
 
 @dataclasses.dataclass(frozen=True)
 class Split:
-    """One split's samples as read-only arrays, in user order and, within
-    a user, in position order.
+    """One split's samples, in user order and then position order, as
+    read-only indices into ``windows``, the (users, longest + 1, t_max)
+    view of the domain's padded item matrix that its three splits share.
 
-    ``prefixes`` is (n, t_max) int64: row i holds the items before the
-    target, the latest t_max of them, left-padded with 0. ``targets`` is
-    (n,) int64, the item at that position. ``users`` is (n,), the user id
-    of each sample. ``len()`` is the sample count.
+    Sample i is user ``rows[i]``'s window at ``positions[i]``, the latest
+    t_max items before that position, left-padded with 0; ``targets[i]``
+    (int64) is the item there. ``names`` has one id per user, so the users
+    of the samples at an index are ``names[rows[index]]``. ``len()`` is the
+    sample count.
     """
 
-    prefixes: np.ndarray
+    windows: np.ndarray
+    rows: np.ndarray
+    positions: np.ndarray
     targets: np.ndarray
-    users: np.ndarray
+    names: np.ndarray
 
     def __post_init__(self):
-        for a in (self.prefixes, self.targets, self.users):
+        for a in (self.windows, self.rows, self.positions, self.targets, self.names):
             a.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.targets)
+
+    def prefixes(self, index) -> np.ndarray:
+        """The (k, t_max) int64 prefixes of the samples at ``index``, a
+        slice or an integer array, gathered into a fresh array."""
+        return self.windows[self.rows[index], self.positions[index]]
 
 
 @dataclasses.dataclass
 class DomainDataset:
     """One domain's vocabulary, splits and training-run adjacency.
 
-    Each split is a ``Split`` whose arrays are built once and cannot be
-    written; ``train_arrays`` and ``eval_arrays`` return them, not copies.
+    The splits share one read-only item matrix; a caller gathers the
+    prefixes of one batch at a time (``Split.prefixes``).
     """
 
     domain_id: str
@@ -86,14 +95,11 @@ class DomainDataset:
     adjacency: sp.csr_matrix  # (num_items + 1)^2, row-normalized, row 0 empty
     item_tokens: dict[str, int] = dataclasses.field(default_factory=dict)
 
-    def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(prefixes, targets) of the training split, for minibatching."""
-        return self.train.prefixes, self.train.targets
-
-    def eval_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        """(prefixes, targets) of ``split``, "valid" or "test"."""
-        s = getattr(self, split)
-        return s.prefixes, s.targets
+    def eval_split(self, split: str) -> Split:
+        """The "valid" or "test" split; any other name raises ValueError."""
+        if split not in ("valid", "test"):
+            raise ValueError(f"no evaluation split {split!r}; expected 'valid' or 'test'")
+        return getattr(self, split)
 
 
 @dataclasses.dataclass
@@ -236,21 +242,22 @@ def _runs(start: np.ndarray, count: np.ndarray, step: int) -> tuple[np.ndarray, 
     return rows, np.repeat(start, count) + step * offsets
 
 
-def _splits(ids: np.ndarray, lengths: np.ndarray, users: np.ndarray, positions, t_max: int
+def _splits(ids: np.ndarray, lengths: np.ndarray, names: np.ndarray, positions, t_max: int
          ) -> tuple[Split, Split, Split]:
     """The splits at ``positions`` (``split_positions``) of the users'
-    flattened item ids.
+    flattened item ids; ``names`` holds one id per user.
 
-    The items go into one (users, t_max + longest) matrix, row u holding
-    t_max zeros and then user u's items, zero-filled on the right. The
-    prefix of position p is then the t_max-wide window at column p and
-    its target column t_max + p, so each split is one fancy index.
+    The items go into one read-only (users, t_max + longest) matrix, row u
+    holding t_max zeros and then user u's items, zero-filled on the right.
+    The prefix of position p is then the t_max-wide window at column p and
+    its target column t_max + p; only the targets are copied out.
     """
     longest = int(lengths.max(initial=0))
     matrix = np.zeros((len(lengths), t_max + longest), dtype=np.int64)
     matrix[:, t_max:][np.arange(longest) < lengths[:, None]] = ids
+    matrix.flags.writeable = False
     windows = np.lib.stride_tricks.sliding_window_view(matrix, t_max, axis=1)
-    return tuple(Split(windows[r, p], matrix[r, t_max + p], users[r]) for r, p in positions)
+    return tuple(Split(windows, r, p, matrix[r, t_max + p], names) for r, p in positions)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +355,9 @@ def build_domain(domain_id: str, codes: np.ndarray, lengths: np.ndarray, cfg: Da
     positions = split_positions(lengths, cfg.eval_ratio)
     names = np.array([user_id(u) for u in users.tolist()], dtype=str)
     train, valid, test = _splits(ids, lengths, names, positions, cfg.t_max)
-    rows, pos = positions[0]
-    at = (np.cumsum(lengths) - lengths)[rows] + pos  # the training targets in ids
-    adjacency = transition_adjacency(ids[at - 1], ids[at], len(order))
+    # the item before each training target ends the target's window
+    before = train.windows[train.rows, train.positions, -1]
+    adjacency = transition_adjacency(before, train.targets, len(order))
     item_tokens = dict(zip(map(item_token, order.tolist()), range(1, len(order) + 1)))
     return DomainDataset(domain_id, len(order), train, valid, test, adjacency, item_tokens)
 

@@ -292,25 +292,26 @@ def client_update(client: ClientState, snapshot: dict[str, ExpertCheckpoint] | N
                   local_only: bool = False, rng_tag: int = _TAG_ROUND) -> ExpertCheckpoint:
     """Synchronize, run the local epochs, and return the local encoder.
 
+    Each minibatch is gathered from the training split by a permutation.
     A one-sample batch has no contrastive negatives, so its contrastive
     terms are zero; one warning per call counts such batches."""
     cfg = client.cfg
     if snapshot is not None and client.global_branches:
         client.sync(snapshot)
     rng = client.round_rng(rng_tag, round_index)
-    prefixes, targets = client.dataset.train_arrays()
+    train = client.dataset.train
     epochs = cfg.local_epochs if local_epochs is None else local_epochs
     single = 0
 
     for _ in range(epochs):
-        order = rng.permutation(len(targets))
+        order = rng.permutation(len(train))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             single += len(idx) == 1
-            batch = prefixes[idx]
+            batch = train.prefixes(idx)
             aug = augment_batch(batch, cfg.shuffle_ratio, rng)
             client.optimizer.zero_grad()
-            total, components = client_losses(client, batch, aug, targets[idx], rng,
+            total, components = client_losses(client, batch, aug, train.targets[idx], rng,
                                               local_only=local_only)
             # checked before the step so a bad batch leaves the parameters intact
             if not np.isfinite(total):
@@ -369,20 +370,21 @@ def _client_scores(client: ClientState, prefixes: np.ndarray, targets: np.ndarra
 
 
 def evaluate_client(client: ClientState, split: str) -> DomainMetrics:
-    """Ranking metrics of the fused scores on one split, with the mean gate
-    weights and the target NLL of the mixture and of each branch alone, so
-    the gate's choice can be checked against the expert that is better."""
+    """Ranking metrics of the fused scores on "valid" or "test", gathered a
+    chunk at a time, with the mean gate weights and the target NLL of the
+    mixture and of each branch alone, so the gate's choice can be checked
+    against the expert that is better."""
     cfg = client.cfg
-    prefixes, targets = client.dataset.eval_arrays(split)
+    samples = client.dataset.eval_split(split)
     tables = [lookup_table(branch, client.dataset.adjacency)
               for branch in client.branches().values()]
     ranks = []
     gate_sum = None
     nll_sum = 0.0
     branch_nll_sum = 0.0
-    for start in range(0, len(targets), cfg.eval_batch):
-        chunk = prefixes[start:start + cfg.eval_batch]
-        tgt = targets[start:start + cfg.eval_batch]
+    for start in range(0, len(samples), cfg.eval_batch):
+        chunk = samples.prefixes(slice(start, start + cfg.eval_batch))
+        tgt = samples.targets[start:start + cfg.eval_batch]
         scores, gates, branch_nll = _client_scores(client, chunk, tgt, tables)
         for i in range(len(tgt)):
             exclude = set(int(x) for x in chunk[i] if x) if cfg.exclude_seen else None
@@ -393,7 +395,7 @@ def evaluate_client(client: ClientState, split: str) -> DomainMetrics:
         if gates is not None:
             gate_sum = gates.sum(axis=0) if gate_sum is None else gate_sum + gates.sum(axis=0)
             branch_nll_sum = branch_nll_sum + branch_nll.sum(axis=0)
-    count = len(targets)
+    count = len(samples)
     mrr, hr, ndcg = compute_metrics(ranks)
     gate_weights = tuple(float(x) for x in gate_sum / count) if gate_sum is not None else None
     branch_nll = (tuple(float(x) for x in branch_nll_sum / count)

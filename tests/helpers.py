@@ -3,6 +3,9 @@ test inputs built from short item runs."""
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -52,6 +55,42 @@ def single_tape_step(client, prefixes, aug_prefixes, targets, rng, local_only=Fa
             total = ad.add(total, ad.scale(fused, cfg.moe_weight))
         ad.backward(total, tape)
     return total, components
+
+
+def owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s buffer, through views and the stride
+    tricks of a window view."""
+    base = a
+    while base is not None:
+        if isinstance(base, np.ndarray):
+            a = base
+        base = getattr(base, "base", None)
+    return a
+
+
+def split_held_arrays(split) -> list[np.ndarray]:
+    """Every array a ``data.Split`` holds: its fields and their owners."""
+    fields = [getattr(split, f.name) for f in dataclasses.fields(split)]
+    return fields + [owner(a) for a in fields]
+
+
+def held_bytes(*splits) -> int:
+    """Bytes of the distinct buffers that the splits hold, each counted once
+    however many splits share it."""
+    owners = {id(o): o for s in splits for o in map(owner, split_held_arrays(s))}
+    return sum(o.nbytes for o in owners.values())
+
+
+def traced_memory(fn):
+    """``fn()``'s result, the bytes it still holds once ``fn`` has returned,
+    and the peak while it ran, as tracemalloc counts them from the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 def build_adjacency(runs: list[list[int]], num_items: int) -> sp.csr_matrix:

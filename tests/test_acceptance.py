@@ -88,8 +88,7 @@ def test_criterion_1_gradient_correctness_full_forward():
         clients, _, _ = build_synced_clients(scenario, cfg)
         client = clients[0]
 
-        prefixes, targets = client.dataset.train_arrays()
-        batch, tgt = prefixes[:4], targets[:4]
+        batch, tgt = client.dataset.train.prefixes(slice(4)), client.dataset.train.targets[:4]
         aug = data.augment_batch(batch, cfg.shuffle_ratio, np.random.default_rng(3))
 
         adj = client.dataset.adjacency
@@ -179,8 +178,7 @@ def test_criterion_3_gate_isolation():
     scenario = tiny_scenario()
     clients, _, _ = build_synced_clients(scenario, tiny_config(dropout=0.0))
     client = clients[0]
-    prefixes, targets = client.dataset.train_arrays()
-    batch, tgt = prefixes[:16], targets[:16]
+    batch, tgt = client.dataset.train.prefixes(slice(16)), client.dataset.train.targets[:16]
     params = client.all_parameters()
     gate_ids = {id(p) for p in client.gate.parameters()}
     before = {id(p): p.data.tobytes() for p in params}
@@ -406,11 +404,25 @@ def test_criterion_11_expert_removal(desk_runs):
 
 def _train_split_experts(run) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per domain of a run: mean gate weights and each branch's own target
-    NLL, both on the training split the gate is fitted to."""
+    NLL, both on the training split the gate is fitted to. Evaluation
+    scores only valid and test, so the training split is scored here in
+    the chunks and sums that ``federation.evaluate_client`` uses."""
+    experts = []
     with ad.default_dtype(np.float32):
-        report = federation.evaluate_all(run.clients, "train", run.best_round, run.mode)
-    return [(np.array(m.gate_weights), np.array(m.branch_nll))
-            for _, m in sorted(report.per_domain.items())]
+        for client in sorted(run.clients, key=lambda c: c.domain_id):
+            train, step = client.dataset.train, client.cfg.eval_batch
+            tables = [expert.lookup_table(b, client.dataset.adjacency)
+                      for b in client.branches().values()]
+            gate_sum = nll_sum = 0.0
+            for start in range(0, len(train), step):
+                index = slice(start, start + step)
+                _, gates, branch_nll = federation._client_scores(
+                    client, train.prefixes(index), train.targets[index], tables)
+                gate_sum = gate_sum + gates.sum(axis=0)
+                nll_sum = nll_sum + branch_nll.sum(axis=0)
+            experts.append(((gate_sum / len(train)).astype(np.float64),
+                            (nll_sum / len(train)).astype(np.float64)))
+    return experts
 
 
 @pytest.mark.desk

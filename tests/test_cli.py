@@ -242,6 +242,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"--quality-grid entry {entry} is not an integer >= 0" in err
 
+    @pytest.mark.parametrize("field, value", [("adam_beta1", 1.0), ("adam_beta2", 1.0),
+                                              ("adam_eps", 0.0)])
+    def test_adam_setting_that_writes_nan_exit_2_before_training(self, data_dir, tmp_path,
+                                                                 monkeypatch, capsys, field,
+                                                                 value):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran although the config is invalid")
+
+        monkeypatch.setattr("fedmoe.federation.run", no_training)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: value}))
+        assert main(["train", "--config", str(config), "--scenario",
+                     str(data_dir / "scenario.json"), "--out-dir", str(tmp_path / "run")]
+                    + FAST) == 2
+        assert f"{field} must" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("edit, message", [({"rounds": 0}, "rounds must be >= 1"),
                                                ({"mode": "bogus"}, "unknown mode")],
                              ids=["rounds-0", "unknown-mode"])

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from fedmoe import data
 from fedmoe.errors import ConfigError, EmptyDatasetError, ParseError
 
-from helpers import build_adjacency
+from helpers import build_adjacency, held_bytes, owner, split_held_arrays, traced_memory
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +184,32 @@ def positions_of(n, ratio=0.2):
     return tuple(pos.tolist() for _, pos in data.split_positions([n], ratio))
 
 
-def assert_split_matches(split, samples, t_max):
+def index_forms(n):
+    """The ways callers index a split: the full range, slices, a shuffled
+    index array and an empty one."""
+    return [slice(None), slice(0, n // 2), slice(n // 3, None, 2), slice(n, n + 4),
+            np.random.default_rng(0).permutation(n), np.arange(0)]
+
+
+def assert_split_matches(split, samples, t_max, user_dtype=None):
+    """The split's gathered prefixes, its targets and its gathered users, at
+    every index form, equal the reference samples'. Each gather is a fresh
+    array."""
     assert len(split) == len(samples)
-    expected = (np.stack([s.prefix for s in samples]) if samples
+    prefixes = (np.stack([s.prefix for s in samples]) if samples
                 else np.zeros((0, t_max), np.int64))
-    np.testing.assert_array_equal(split.prefixes, expected)
-    assert split.prefixes.shape == (len(samples), t_max)
-    assert split.prefixes.dtype == split.targets.dtype == np.int64
-    np.testing.assert_array_equal(split.targets, [s.target for s in samples])
-    assert split.users.tolist() == [s.user_id for s in samples]
+    targets = np.array([s.target for s in samples], dtype=np.int64)
+    users = np.array([s.user_id for s in samples], dtype=object)
+    for index in index_forms(len(samples)):
+        got = split.prefixes(index)
+        assert got.shape == (len(targets[index]), t_max) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, prefixes[index])
+        assert got.flags.writeable and not np.shares_memory(got, split.windows)
+        assert split.targets[index].dtype == np.int64
+        np.testing.assert_array_equal(split.targets[index], targets[index])
+        got = split.names[split.rows[index]]
+        assert got.tolist() == users[index].tolist()
+        assert user_dtype is None or got.dtype == user_dtype
 
 
 def assert_same_csr(a, b):
@@ -208,10 +225,10 @@ def assert_same_domain(a, b):
     assert (a.domain_id, a.num_items) == (b.domain_id, b.num_items)
     assert list(a.item_tokens.items()) == list(b.item_tokens.items())
     for name in ("train", "valid", "test"):
-        for field in ("prefixes", "targets", "users"):
-            x, y = getattr(getattr(a, name), field), getattr(getattr(b, name), field)
-            assert x.dtype == y.dtype and x.shape == y.shape, (name, field)
-            np.testing.assert_array_equal(x, y, err_msg=f"{name}.{field}")
+        for field in dataclasses.fields(data.Split):
+            x, y = (getattr(getattr(d, name), field.name) for d in (a, b))
+            assert x.dtype == y.dtype and x.shape == y.shape, (name, field.name)
+            np.testing.assert_array_equal(x, y, err_msg=f"{name}.{field.name}")
     assert_same_csr(a.adjacency, b.adjacency)
 
 
@@ -277,7 +294,7 @@ class TestFiltering:
         p = write_lines(tmp_path, ["u1\ta b c", "u2\tb c a"])
         ds = data.load_domain(p, data.DataConfig(apply_filters=False))
         assert ds.num_items == 3
-        users = np.concatenate([ds.train.users, ds.valid.users, ds.test.users])
+        users = np.concatenate([s.names[s.rows] for s in (ds.train, ds.valid, ds.test)])
         assert set(users.tolist()) == {"u1", "u2"}
 
     def test_empty_split_keeps_the_window_width(self, tmp_path):
@@ -286,8 +303,9 @@ class TestFiltering:
         ds = data.load_domain(p, data.DataConfig(apply_filters=False, t_max=7))
         assert len(ds.train) == len(ds.test) == 0 and len(ds.valid) == 2
         for split in (ds.train, ds.test):
-            assert split.prefixes.shape == (0, 7) and split.targets.shape == (0,)
-            assert split.users.shape == (0,)
+            for index in index_forms(0):
+                assert split.prefixes(index).shape == (0, 7) and split.targets.shape == (0,)
+                assert split.names[split.rows[index]].shape == (0,)
 
 
 class TestSplit:
@@ -316,7 +334,7 @@ class TestSplit:
 
     def test_samples_are_left_padded(self):
         train, _, _ = split_arrays([("u", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12])], t_max=16)
-        first = train.prefixes[0]
+        first = train.prefixes(slice(1))[0]
         assert first.shape == (16,)
         assert first[-1] == 3 and first[:-1].sum() == 0
         assert train.targets[0] == 4
@@ -332,7 +350,7 @@ class TestSplit:
         items = list(range(1, 30))
         # 29 items withhold 6: valid positions 23, 25, 27 and test 24, 26, 28
         _, valid, _ = split_arrays([("u", items)], t_max=8)
-        assert list(valid.prefixes[1]) == items[17:25]
+        assert list(valid.prefixes(slice(1, 2))[0]) == items[17:25]
         assert valid.targets[1] == items[25]
 
 
@@ -447,7 +465,7 @@ class TestSynthetic:
         assert len(scenario.domains) == 3
         for ds in scenario.domains:
             assert ds.num_items == 50
-            users = set(ds.train.users.tolist())
+            users = set(ds.train.names[ds.train.rows].tolist())
             assert len(users) == 200
 
     def test_vocabularies_disjoint(self):
@@ -610,8 +628,8 @@ class TestMatchesReference:
         cfg = data.DataConfig(t_max=t_max, eval_ratio=ratio, apply_filters=filters,
                               min_interactions=2, min_len=2)
         for domain_id, rows in data.generate_raw_sequences(EQUALITY_SPECS[name]).items():
-            assert_same_domain(data.build_domain_dataset(domain_id, rows, cfg),
-                               reference_domain(domain_id, rows, cfg))
+            assert_matches_reference(data.build_domain_dataset(domain_id, rows, cfg),
+                                     reference_domain(domain_id, rows, cfg), cfg.t_max)
 
     def test_split_of_uneven_users(self):
         # lengths 1 and 2 give empty splits; long users are cut to t_max
@@ -631,6 +649,16 @@ class TestMatchesReference:
         assert_same_csr(build_adjacency([], 4), reference_build_adjacency([], 4))
 
 
+@dataclasses.dataclass
+class ReferenceDomain:
+    domain_id: str
+    num_items: int
+    splits: tuple  # train, valid and test, each a list of Sample
+    user_dtype: np.dtype
+    adjacency: sp.csr_matrix
+    item_tokens: dict
+
+
 def reference_domain(domain_id, rows, cfg):
     """``build_domain_dataset`` from the per-row references."""
     if cfg.apply_filters:
@@ -640,20 +668,27 @@ def reference_domain(domain_id, rows, cfg):
     remapped, mapping = reference_remap_items(rows)
     # every split's users take the width of the longest surviving user id
     width = np.array([u for u, _ in remapped], dtype=str).dtype
-    splits = [data.Split(np.array([s.prefix for s in samples], dtype=np.int64)
-                         .reshape(-1, cfg.t_max),
-                         np.array([s.target for s in samples], dtype=np.int64),
-                         np.array([s.user_id for s in samples], dtype=width))
-              for samples in reference_split_dataset(remapped, cfg.eval_ratio, cfg.t_max)]
+    splits = reference_split_dataset(remapped, cfg.eval_ratio, cfg.t_max)
     adjacency = reference_build_adjacency(reference_train_portions(remapped, cfg.eval_ratio),
                                           len(mapping))
-    return data.DomainDataset(domain_id, len(mapping), *splits, adjacency, mapping)
+    return ReferenceDomain(domain_id, len(mapping), splits, width, adjacency, mapping)
+
+
+def assert_matches_reference(ds, ref, t_max):
+    """Every split's gathers against the reference samples, the vocabulary
+    in order, and the CSR."""
+    assert (ds.domain_id, ds.num_items) == (ref.domain_id, ref.num_items)
+    assert list(ds.item_tokens.items()) == list(ref.item_tokens.items())
+    for split, samples in zip((ds.train, ds.valid, ds.test), ref.splits):
+        assert_split_matches(split, samples, t_max, ref.user_dtype)
+    assert_same_csr(ds.adjacency, ref.adjacency)
 
 
 def assert_builds_like_reference(int_rows, cfg):
     """``build_domain`` on integer item codes, as the generator calls it,
     and ``build_domain_dataset`` on their tokens ``i{code}``, as a loaded
-    file is built, against the per-row references."""
+    file is built, against the per-row references. Returns the first
+    build, or None when no user survives."""
     rows = [(u, [f"i{c}" for c in items]) for u, items in int_rows]
     codes = np.array([c for _, items in int_rows for c in items], dtype=np.int64)
     lengths = np.array([len(items) for _, items in int_rows], dtype=np.int64)
@@ -668,9 +703,11 @@ def assert_builds_like_reference(int_rows, cfg):
                 build()
             assert str(err.value) == str(exc)
         return None
-    for build in builds:
-        assert_same_domain(build(), expected)
-    return expected
+    built = [build() for build in builds]
+    for ds in built:
+        assert_matches_reference(ds, expected, cfg.t_max)
+    assert_same_domain(*built)
+    return built[0]
 
 
 # the user with the longest id survives the first pass, which drops the long
@@ -699,7 +736,7 @@ class TestBuilderMatchesReference:
         counts = collections.Counter(i for _, items in SECOND_PASS_ROWS for i in items)
         assert min(counts[i] for i in SECOND_PASS_ROWS[0][1]) >= 2
         ds = assert_builds_like_reference(SECOND_PASS_ROWS, SECOND_PASS_CONFIG)
-        users = np.concatenate([ds.train.users, ds.valid.users, ds.test.users])
+        users = np.concatenate([s.names[s.rows] for s in (ds.train, ds.valid, ds.test)])
         assert set(users.tolist()) == {"c", "d"} and users.dtype == np.dtype("<U1")
 
     def test_every_user_filtered_out(self):
@@ -745,15 +782,61 @@ class TestSplitArrays:
 
     def test_split_arrays_are_read_only(self, ds):
         for split in (ds.train, ds.valid, ds.test):
-            for name in ("prefixes", "targets", "users"):
+            for a in [getattr(split, f.name) for f in dataclasses.fields(split)] + [
+                    owner(split.windows)]:
                 with pytest.raises(ValueError, match="read-only"):
-                    getattr(split, name)[0] = getattr(split, name)[-1]
+                    a[0] = a[-1]
 
     def test_accessors_return_the_stored_arrays(self, ds):
-        prefixes, targets = ds.train_arrays()
-        assert prefixes is ds.train.prefixes and targets is ds.train.targets
+        """The three splits share one matrix and one user-name array;
+        ``eval_split`` returns the stored split and a gather is a fresh copy."""
         for name in ("valid", "test"):
-            prefixes, targets = ds.eval_arrays(name)
-            assert prefixes is getattr(ds, name).prefixes
-            assert targets is getattr(ds, name).targets
-            assert ds.eval_arrays(name)[0] is prefixes
+            assert ds.eval_split(name) is getattr(ds, name)
+        for split in (ds.valid, ds.test):
+            assert split.windows is ds.train.windows and split.names is ds.train.names
+        batch = ds.train.prefixes(np.arange(4))
+        assert not np.shares_memory(batch, ds.train.windows)
+        batch[:] = -1
+        assert (ds.train.prefixes(np.arange(4)) >= 0).all()
+
+    @pytest.mark.parametrize("split", ["train", "tst", "adjacency", "", "VALID"])
+    def test_eval_split_rejects_other_names(self, ds, split):
+        with pytest.raises(ValueError, match=f"no evaluation split {split!r}"):
+            ds.eval_split(split)
+
+
+class TestSplitMemory:
+    """A split holds sample indices into its domain's one item matrix, so a
+    domain's memory grows with its interactions, not with samples x t_max."""
+
+    @pytest.mark.parametrize("t_max", [4, 16])
+    def test_no_split_holds_a_row_per_sample(self, t_max):
+        scenario = data.generate_synthetic(
+            data.SyntheticSpec(items_per_domain=40, users_per_domain=80, seed=4),
+            data.DataConfig(t_max=t_max, apply_filters=False))
+        users = 80  # every user survives without filters
+        for ds in scenario.domains:
+            assert len(ds.train) > users
+            for split in (ds.train, ds.valid, ds.test):
+                for a in split_held_arrays(split):
+                    assert not (a.ndim == 2 and a.shape == (len(split), t_max)), a.shape
+                    assert a.dtype.kind != "U" or a.shape == (users,), a.shape
+
+    def test_retained_bytes_grow_with_interactions_not_windows(self):
+        """Raising t_max from 4 to 64 adds 60 padding columns per user to
+        the shared matrix and nothing per sample."""
+        codes, lengths = data.draw_domains(data.SyntheticSpec(
+            items_per_domain=40, users_per_domain=300, seed=6))["d0"]
+        results = {}
+        for t_max in (4, 64):
+            cfg = data.DataConfig(t_max=t_max, apply_filters=False)
+            results[t_max] = traced_memory(lambda: data.build_domain(
+                "d0", codes, lengths, cfg, "u{}".format, "i{}".format))
+        (small, small_kept, small_peak), (large, large_kept, large_peak) = results.values()
+        samples = sum(len(s) for s in (large.train, large.valid, large.test))
+        padding = 8 * len(lengths) * 60
+        assert samples > 10 * len(lengths)
+        assert large_kept - small_kept <= padding + 4096
+        assert large_peak - small_peak <= padding + 4096
+        assert (held_bytes(large.train, large.valid, large.test)
+                - held_bytes(small.train, small.valid, small.test)) == padding

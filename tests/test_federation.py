@@ -13,7 +13,7 @@ from fedmoe.checkpoint import ExpertCheckpoint
 from fedmoe.config import RunConfig
 from fedmoe.errors import ConfigError, EmptyDatasetError
 
-from helpers import encode_prefixes, single_tape_step
+from helpers import encode_prefixes, single_tape_step, split_held_arrays
 
 
 @pytest.fixture(scope="module")
@@ -175,11 +175,11 @@ class TestClientUpdate:
     def test_loss_components_bookkeeping(self, scenario):
         cfg = small_config()
         client = federation.build_client(scenario, "d0", cfg)
-        prefixes, targets = client.dataset.train_arrays()
+        train = client.dataset.train
         rng = np.random.default_rng(0)
-        batch = prefixes[:32]
+        batch = train.prefixes(slice(32))
         aug = data.augment_batch(batch, cfg.shuffle_ratio, rng)
-        total, components = federation.client_losses(client, batch, aug, targets[:32], rng)
+        total, components = federation.client_losses(client, batch, aug, train.targets[:32], rng)
         assert len(components) == 7  # 2 per expert branch + fusion, D=3
         assert np.isfinite(total)
         assert total == pytest.approx(sum(components.values()), rel=1e-5)
@@ -191,13 +191,13 @@ class TestClientUpdate:
         """fedavg, local_only and two-phase pretraining train the local branch
         alone: every op on its tape feeds the loss, so each gets a gradient."""
         client = federation.build_client(scenario, "d0", small_config(mode=mode))
-        prefixes, targets = client.dataset.train_arrays()
+        train = client.dataset.train
         rng = np.random.default_rng(0)
-        batch = prefixes[:32]
+        batch = train.prefixes(slice(32))
         aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
         tapes = []
         _record_tapes(monkeypatch, tapes.append)
-        total, components = federation.client_losses(client, batch, aug, targets[:32],
+        total, components = federation.client_losses(client, batch, aug, train.targets[:32],
                                                      rng, local_only=local_only)
         assert sorted(components) == ["con:local", "rec:local"]
         assert len(tapes) == 1
@@ -211,9 +211,9 @@ class TestClientUpdate:
     def test_malformed_batch_rejected_before_any_branch_computes(self, scenario, monkeypatch,
                                                                  bad, message):
         client = federation.build_client(scenario, "d0", small_config())
-        prefixes, targets = client.dataset.train_arrays()
+        train = client.dataset.train
         rng = np.random.default_rng(0)
-        batch = prefixes[:8].copy()
+        batch = train.prefixes(slice(8))
         aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
         batch[3] = 0
         if bad == "gap":
@@ -224,7 +224,7 @@ class TestClientUpdate:
 
         monkeypatch.setattr(federation, "lookup_table", computed)
         with pytest.raises(ValueError, match=message):
-            federation.client_losses(client, batch, aug, targets[:8], rng)
+            federation.client_losses(client, batch, aug, train.targets[:8], rng)
 
     def test_one_layout_per_step_and_per_evaluation_chunk(self, scenario, monkeypatch):
         """Three branches encode each batch from one layout, so the prefix
@@ -239,15 +239,15 @@ class TestClientUpdate:
         monkeypatch.setattr(expert.BatchLayout, "__init__", counted)
         client = federation.build_client(scenario, "d0", small_config())
         assert len(client.branches()) == 3
-        prefixes, targets = client.dataset.train_arrays()
+        train = client.dataset.train
         rng = np.random.default_rng(0)
-        batch = prefixes[:8]
+        batch = train.prefixes(slice(8))
         aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
-        federation.client_losses(client, batch, aug, targets[:8], rng)
+        federation.client_losses(client, batch, aug, train.targets[:8], rng)
         assert built == [(16, batch.shape[1])]
         built.clear()
         federation.evaluate_client(client, "valid")
-        chunks = -(-len(client.dataset.eval_arrays("valid")[1]) // client.cfg.eval_batch)
+        chunks = -(-len(client.dataset.valid) // client.cfg.eval_batch)
         assert len(built) == chunks
 
     def test_one_sample_batches_warn_once_per_update(self, scenario, caplog):
@@ -255,7 +255,7 @@ class TestClientUpdate:
         in every epoch, whose contrastive terms are zero in all three
         branches; the update warns once, naming the domain, the round and
         the number of such batches."""
-        n = len(federation.build_client(scenario, "d0", small_config()).dataset.train_arrays()[1])
+        n = len(federation.build_client(scenario, "d0", small_config()).dataset.train)
         client = federation.build_client(scenario, "d0",
                                          small_config(batch_size=n - 1, local_epochs=2))
         assert len(client.branches()) == 3
@@ -324,8 +324,7 @@ class TestBranchTapes:
         cfg = small_config(mode=mode, precision=precision, blocks=blocks, **overrides)
         with ad.default_dtype(cfg.dtype):
             ref, new = (federation.build_client(scenario, "d0", cfg) for _ in range(2))
-            prefixes, targets = ref.dataset.train_arrays()
-            batch, tgt = prefixes[:32], targets[:32]
+            batch, tgt = ref.dataset.train.prefixes(slice(32)), ref.dataset.train.targets[:32]
             aug = data.augment_batch(batch, cfg.shuffle_ratio, np.random.default_rng(3))
             ref_rng, new_rng = np.random.default_rng(5), np.random.default_rng(5)
             ref_total, ref_components = single_tape_step(ref, batch, aug, tgt, ref_rng,
@@ -363,7 +362,7 @@ class TestBranchTapes:
         monkeypatch.setattr(federation, "backward", counted)
         before = client.snapshot_parameters()
         federation.client_update(client, None, 0)
-        steps = -(-len(client.dataset.train_arrays()[1]) // client.cfg.batch_size)
+        steps = -(-len(client.dataset.train) // client.cfg.batch_size)
         assert len(nodes) == tapes * steps
         assert all(nodes), "backward ran on an empty tape"
         after = client.snapshot_parameters()
@@ -376,9 +375,8 @@ class TestBranchTapes:
         """When a branch starts, and when the gate starts, every earlier tape
         is gone; of its arrays only the kept z rows and loss value remain."""
         client = federation.build_client(scenario, "d0", small_config())
-        prefixes, targets = client.dataset.train_arrays()
         rng = np.random.default_rng(0)
-        batch = prefixes[:32]
+        batch = client.dataset.train.prefixes(slice(32))
         aug = data.augment_batch(batch, client.cfg.shuffle_ratio, rng)
         width = client.cfg.width
         kept = {(), (len(batch), width), (2 * len(batch), width)}
@@ -405,7 +403,7 @@ class TestBranchTapes:
                             first_op_of("branch", federation.lookup_table))
         monkeypatch.setattr(federation, "gate_forward",
                             first_op_of("gate", federation.gate_forward))
-        federation.client_losses(client, batch, aug, targets[:32], rng)
+        federation.client_losses(client, batch, aug, client.dataset.train.targets[:32], rng)
         assert seen == [("branch", [True], 0, []),
                         ("branch", [False, True], 1, []),
                         ("branch", [False, False, True], 2, []),
@@ -554,6 +552,28 @@ class TestRunModes:
             cfg.validate()
         dataclasses.replace(cfg, pretrain_epochs=0).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("adam_beta1", 1.0, r"adam_beta1 must lie in \[0, 1\), got 1.0"),
+        ("adam_beta1", -0.5, r"adam_beta1 must lie in \[0, 1\), got -0.5"),
+        ("adam_beta2", 1.0, r"adam_beta2 must lie in \[0, 1\), got 1.0"),
+        ("adam_beta2", float("nan"), r"adam_beta2 must lie in \[0, 1\), got nan"),
+        ("adam_eps", 0.0, "adam_eps must be positive, got 0.0"),
+        ("adam_eps", -1e-8, "adam_eps must be positive, got -1e-08")])
+    def test_adam_settings_that_divide_by_zero_rejected_before_building(
+            self, scenario, monkeypatch, field, value, message):
+        """A beta of 1 zeroes Adam's bias correction and an eps of 0 divides
+        by the zero second moment of an unused row: either writes NaN into
+        the parameters at the first step."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("a client was built for an invalid Adam setting")
+
+        monkeypatch.setattr(federation, "build_client", no_build)
+        with pytest.raises(ConfigError, match=message):
+            federation.run(scenario, small_config(**{field: value}))
+
+    def test_adam_settings_at_the_lower_bounds_accepted(self):
+        small_config(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300).validate()
+
     def test_drop_unknown_domain_rejected(self, scenario):
         with pytest.raises(ConfigError):
             federation.run(scenario, small_config(mode="drop_expert", drop_domain="nope"))
@@ -591,7 +611,7 @@ class TestRunModes:
         client = res.clients[0]
         m = federation.evaluate_client(client, "test")
         assert m.branch_nll is None and m.gate_weights is None
-        prefixes, targets = client.dataset.eval_arrays("test")
+        prefixes, targets = client.dataset.test.prefixes(slice(None)), client.dataset.test.targets
         _, logits = encode_prefixes(client.local, client.dataset.adjacency, prefixes)
         probs = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -616,6 +636,9 @@ class TestConfigKnobs:
                 ([5, 6], 3)]      # unseen item 7 outscores the target
         prefixes = np.stack([_left_padded(items, 16) for items, _ in rows])
         targets = np.array([t for _, t in rows])
+        # one window per row: sample i is row i at position 0
+        index = np.arange(len(rows))
+        samples = data.Split(prefixes[:, None], index, 0 * index, targets, index.astype(str))
         mrr = {}
         for exclude in (False, True):
             client = federation.build_client(
@@ -624,8 +647,7 @@ class TestConfigKnobs:
             branch.head_out.tensor.data[:] = 0.0
             branch.head_out_bias.tensor.data[:] = 0.0
             branch.head_out_bias.tensor.data[[6, 2]] = [3.0, 2.0]  # items 7 and 3
-            monkeypatch.setattr(client.dataset, "eval_arrays",
-                                lambda split: (prefixes, targets))
+            monkeypatch.setattr(client.dataset, "eval_split", lambda split: samples)
             mrr[exclude] = federation.evaluate_client(client, "test").mrr
         assert mrr[False] == pytest.approx(100.0 / 2)                    # ranks 2, 2, 2
         assert mrr[True] == pytest.approx(100.0 * (1 + 1 + 0.5) / 3)    # ranks 1, 1, 2
@@ -638,7 +660,8 @@ class TestConfigKnobs:
         for client in res.clients:
             assert client.gate.hidden_weight.name == "gate.hidden"
             assert client.gate.hidden_weight.data.tobytes() != before[client.domain_id]
-            prefixes, targets = client.dataset.eval_arrays("test")
+            test = client.dataset.test
+            prefixes, targets = test.prefixes(slice(None)), test.targets
             tables = [expert.lookup_table(b, client.dataset.adjacency)
                       for b in client.branches().values()]
             _, gates, _ = federation._client_scores(client, prefixes, targets, tables)
@@ -711,17 +734,44 @@ class TestSplitChecks:
                 "domain 'd1' has an empty test split; domain 'd2' has an empty valid split; "
                 "domain 'd2' has an empty test split")
 
-    def test_run_and_evaluation_leave_split_arrays_unchanged(self, scenario):
-        before = {(d.domain_id, name): tuple(a.copy() for a in
-                                             (s.prefixes, s.targets, s.users))
-                  for d in scenario.domains
-                  for name, s in (("train", d.train), ("valid", d.valid), ("test", d.test))}
+    def test_run_and_evaluation_leave_split_arrays_unchanged(self, scenario, monkeypatch):
+        """The shared item matrix and every split's index arrays stay
+        read-only and byte for byte the same through a run. Its training
+        batches and evaluation chunks are fresh gathers: writing to every
+        one of them afterwards leaves the splits unchanged."""
+        def arrays(d):
+            return [a for s in (d.train, d.valid, d.test) for a in split_held_arrays(s)]
+
+        before = {d.domain_id: [a.copy() for a in arrays(d)] for d in scenario.domains}
+        gathered = []
+        real_augment, real_scores = federation.augment_batch, federation._client_scores
+        monkeypatch.setattr(federation, "augment_batch",
+                            lambda batch, *a: gathered.append(batch) or real_augment(batch, *a))
+        monkeypatch.setattr(federation, "_client_scores",
+                            lambda c, chunk, *a: gathered.append(chunk) or real_scores(c, chunk, *a))
         res = federation.run(scenario, small_config(rounds=2, exclude_seen=True))
         federation.evaluate_all(res.clients, "valid", 0, "fmoe")
+        assert len(gathered) > 6
+        for batch in gathered:
+            batch[:] = -1
         for d in scenario.domains:
-            for name in ("train", "valid", "test"):
-                s = getattr(d, name)
-                for want, got in zip(before[d.domain_id, name],
-                                     (s.prefixes, s.targets, s.users)):
-                    assert not got.flags.writeable
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for want, got in zip(before[d.domain_id], arrays(d), strict=True):
+                assert not got.flags.writeable
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("split", ["train", "tst", "adjacency"])
+    def test_evaluation_of_another_split_rejected_before_encoding(self, scenario, monkeypatch,
+                                                                  split):
+        """Only "valid" and "test" are evaluated; "train" used to be scored
+        and labelled as if it were training telemetry."""
+        clients = [federation.build_client(scenario, d, small_config())
+                   for d in scenario.domain_ids]
+
+        def encoded(*args):
+            raise AssertionError("a branch encoded before the split was checked")
+
+        monkeypatch.setattr(federation, "lookup_table", encoded)
+        monkeypatch.setattr(federation, "encode_batch", encoded)
+        with pytest.raises(ValueError, match=f"no evaluation split {split!r}"):
+            federation.evaluate_all(clients, split, 0, "fmoe")
